@@ -15,11 +15,10 @@
 ///
 /// Engine kernels (PR 5): `engine_flood` is timed as `legacy` (the preserved
 /// pre-PR5 engine: one flat O(M log M) sort over all in-flight messages per
-/// round + std::map discovery agent, sim/reference.hpp), `workspace` (the
-/// receiver-batched engine + flat KnownTable agent) and `parallel` (the same
-/// over the hardware ThreadPool round executor). The checksum digests every
-/// node's discovered (origin, dist, parent) set, so a single reordered or
-/// lost delivery shows up as cross-variant checksum drift.
+/// round + std::map discovery agent, sim/reference.hpp) and `workspace` (the
+/// production engine, one id range + flat KnownTable agent). The checksum
+/// digests every node's discovered (origin, dist, parent) set, so a single
+/// reordered or lost delivery shows up as cross-variant checksum drift.
 ///
 /// Million-node kernels (PR 8):
 ///  * `generation` — unit-disk topology build from fixed positions: `legacy`
@@ -42,15 +41,18 @@
 ///    AC-Mesh + G-MST (the flat and global extremes of the five pipelines).
 ///    `engine_flood` runs at k=1 to bound per-node discovery state.
 ///
-/// Sharded engine (PR 10): `engine_flood` gains `sharded2` / `sharded4` /
-/// `sharded8` variants — the same flood on the ShardedEngine coordinator
-/// (contiguous SFC id-range shards stepped across the ThreadPool, boundary
-/// messages exchanged serially between rounds). The discovery digest is the
-/// same as the serial/parallel variants', so the cross-variant checksum
-/// check enforces the sharding invariant: traces, stats and discovery
-/// results bit-identical to the single-shard engine at every shard count —
-/// including the n = 1,000,000 row, which must also stay under the existing
-/// RSS ceiling of the million-node smoke.
+/// Pooled engine: `engine_flood` also runs as `pool_shuffled` and
+/// `pool_hilbert` - the same flood through run(max_rounds, pool), which cuts
+/// one contiguous id range per pool thread. The suffix names the input id
+/// order: the bench's own ids (placement order, spatially shuffled) or the
+/// Hilbert relabeling of the same graph, on which contiguous ranges are
+/// spatially compact. pool_shuffled's digest must equal the serial rows'.
+/// pool_hilbert's is mapped back to the bench's ids: origins through the
+/// permutation, and each parent as the minimum original-id neighbor one hop
+/// closer to the origin (the serial rows' tie-break, which a relabeled run
+/// resolves in Hilbert order instead). That mapping is computed once, from
+/// the untimed warm-up rep; every timed rep must reproduce the warm-up's
+/// Hilbert-id digest exactly.
 ///
 /// Usage:
 ///   bench_perf_regression [--out FILE] [--sizes n1,n2,...] [--k K]
@@ -80,7 +82,6 @@
 #include "khop/runtime/workspace.hpp"
 #include "khop/sim/protocols/neighborhood.hpp"
 #include "khop/sim/reference.hpp"
-#include "khop/sim/sharded_engine.hpp"
 
 namespace {
 
@@ -404,8 +405,9 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
 
   // Kernel 4: engine flood - k-hop neighborhood discovery by bounded
   // flooding, legacy (preserved flat-sort engine + std::map agent) vs
-  // workspace (receiver-batched engine + flat KnownTable agent) vs parallel
-  // (the ThreadPool round executor). The digest folds in every node's
+  // workspace (one id range + flat KnownTable agent) vs the pooled engine on
+  // shuffled and on Hilbert ids (one id range per pool thread; see the file
+  // comment for the Hilbert digest). The digest folds in every node's
   // discovered (origin, dist, parent) records, all integer-valued and well
   // inside double precision, so the sums are exact and iteration-order
   // independent. At n >= kBigN the flood runs at k=1: per-node discovery
@@ -431,9 +433,7 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
       return sum;
     });
   }
-  // Generic over the engine type: SyncEngine and ShardedEngine expose the
-  // same stats()/agent() surface, and the digest only reads those.
-  const auto flood_digest = [&](const auto& engine) {
+  const auto flood_digest = [&](const SyncEngine& engine) {
     double sum = static_cast<double>(engine.stats().receptions +
                                      engine.stats().rounds);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -445,39 +445,56 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
     }
     return sum;
   };
+  const auto make_agent = [&](NodeId) {
+    return std::make_unique<NeighborhoodDiscoveryAgent>(k_flood);
+  };
   h.time_kernel("engine_flood", "workspace", n, k_flood, [&] {
-    SyncEngine engine(g, [&](NodeId) {
-      return std::make_unique<NeighborhoodDiscoveryAgent>(k_flood);
-    });
+    SyncEngine engine(g, make_agent);
     engine.run(2 * k_flood + 2);
     return flood_digest(engine);
   });
-  h.time_kernel("engine_flood", "parallel", n, k_flood, [&] {
-    SyncEngine engine(g, [&](NodeId) {
-      return std::make_unique<NeighborhoodDiscoveryAgent>(k_flood);
-    });
+  h.time_kernel("engine_flood", "pool_shuffled", n, k_flood, [&] {
+    SyncEngine engine(g, make_agent);
     engine.run(2 * k_flood + 2, pool);
     return flood_digest(engine);
   });
-  // The sharded coordinator at 2/4/8 contiguous id-range shards. The digest
-  // (and the harness's cross-variant checksum check) must agree exactly with
-  // the serial/parallel rows: the sharded round loop is bit-identical to the
-  // single-shard engine by construction.
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4},
-                                   std::size_t{8}}) {
-    h.time_kernel("engine_flood", "sharded" + std::to_string(shards), n,
-                  k_flood, [&] {
-                    ShardedEngine engine(
-                        g,
-                        [&](NodeId) {
-                          return std::make_unique<NeighborhoodDiscoveryAgent>(
-                              k_flood);
-                        },
-                        shards);
-                    engine.run(2 * k_flood + 2, pool);
-                    return flood_digest(engine);
-                  });
-  }
+  // The Hilbert run's digest in the bench's ids (see the file comment).
+  const auto original_id_digest = [&](const SyncEngine& engine) {
+    const auto known = [&](NodeId v) -> const KnownTable& {
+      return dynamic_cast<const NeighborhoodDiscoveryAgent&>(engine.agent(v))
+          .known();
+    };
+    double sum = static_cast<double>(engine.stats().receptions +
+                                     engine.stats().rounds);
+    for (NodeId v = 0; v < g_sfc.num_nodes(); ++v) {
+      known(v).for_each([&](NodeId origin, const KnownRecord& rec) {
+        NodeId parent = kInvalidNode;
+        for (NodeId u : g_sfc.neighbors(v)) {
+          const KnownRecord* via = known(u).find(origin);
+          if (u == origin || (via != nullptr && via->dist + 1 == rec.dist)) {
+            parent = std::min(parent, sfc.old_of_new[u]);
+          }
+        }
+        sum += sfc.old_of_new[origin] + 31.0 * rec.dist + 7.0 * parent;
+      });
+    }
+    return sum;
+  };
+  bool warmed_up = false;
+  double hilbert_digest = 0.0;
+  double original_digest = 0.0;
+  h.time_kernel("engine_flood", "pool_hilbert", n, k_flood, [&] {
+    SyncEngine engine(g_sfc, make_agent);
+    engine.run(2 * k_flood + 2, pool);
+    const double digest = flood_digest(engine);
+    if (!warmed_up) {
+      warmed_up = true;
+      hilbert_digest = digest;
+      original_digest = original_id_digest(engine);
+    }
+    // A timed rep that strays from the warm-up breaks the checksum.
+    return digest == hilbert_digest ? original_digest : -original_digest;
+  });
 
   if (big) {
     std::cout << " generation speedup x" << fmt(h.speedup("generation", n), 2)

@@ -10,6 +10,22 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
+std::array<std::uint32_t, 4> philox4x32(
+    std::array<std::uint32_t, 4> counter,
+    std::array<std::uint32_t, 2> key) noexcept {
+  for (int round = 0; round < 10; ++round) {
+    const std::uint64_t p0 = std::uint64_t{0xD2511F53u} * counter[0];
+    const std::uint64_t p1 = std::uint64_t{0xCD9E8D57u} * counter[2];
+    counter = {static_cast<std::uint32_t>(p1 >> 32) ^ counter[1] ^ key[0],
+               static_cast<std::uint32_t>(p1),
+               static_cast<std::uint32_t>(p0 >> 32) ^ counter[3] ^ key[1],
+               static_cast<std::uint32_t>(p0)};
+    key[0] += 0x9E3779B9u;  // Weyl key schedule
+    key[1] += 0xBB67AE85u;
+  }
+  return counter;
+}
+
 namespace {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

@@ -16,6 +16,14 @@ namespace khop {
 /// SplitMix64 step; used for seeding and stream derivation.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// Philox4x32-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+/// 3", SC'11): a keyed bijection of a 128-bit counter. It has no state, so a
+/// draw is a pure function of (counter, key) and may be evaluated in any
+/// order, on any thread - unlike Rng, whose draws depend on call order.
+std::array<std::uint32_t, 4> philox4x32(
+    std::array<std::uint32_t, 4> counter,
+    std::array<std::uint32_t, 2> key) noexcept;
+
 /// xoshiro256** engine. Satisfies UniformRandomBitGenerator.
 class Rng {
  public:

@@ -24,27 +24,16 @@ ShardPlan::ShardPlan(const Graph& g, std::size_t num_shards) {
     }
   }
 
-  // Classify: a node is boundary iff any neighbor lives in another shard;
-  // those same crossing edges define the neighbor shard's halo.
+  // Classify: a node is boundary iff any neighbor lives in another shard.
   for (NodeId v = 0; v < n; ++v) {
     const std::size_t sv = shard_of_[v];
-    for (NodeId u : g.neighbors(v)) {
-      if (shard_of_[u] != sv) {
-        boundary_[v] = 1;
-        // v is adjacent to shard_of_[u] from outside: v joins that halo.
-        ranges_[shard_of_[u]].halo.push_back(v);
-      }
-    }
-    if (boundary_[v] != 0) {
-      ranges_[sv].boundary_nodes.push_back(v);
+    const auto nbrs = g.neighbors(v);
+    if (std::any_of(nbrs.begin(), nbrs.end(),
+                    [&](NodeId u) { return shard_of_[u] != sv; })) {
+      boundary_[v] = 1;
+      ++ranges_[sv].num_boundary;
       ++boundary_total_;
     }
-  }
-  // boundary_nodes comes out ascending (built in one ascending sweep); the
-  // halo lists collect one entry per crossing edge and need dedup.
-  for (ShardRange& r : ranges_) {
-    std::sort(r.halo.begin(), r.halo.end());
-    r.halo.erase(std::unique(r.halo.begin(), r.halo.end()), r.halo.end());
   }
 }
 
@@ -52,7 +41,7 @@ double ShardPlan::boundary_fraction(std::size_t s) const {
   KHOP_REQUIRE(s < ranges_.size(), "shard index out of range");
   const ShardRange& r = ranges_[s];
   if (r.size() == 0) return 0.0;
-  return static_cast<double>(r.boundary_nodes.size()) /
+  return static_cast<double>(r.num_boundary) /
          static_cast<double>(r.size());
 }
 

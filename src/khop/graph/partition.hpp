@@ -6,14 +6,12 @@
 /// numerically contiguous ranges are spatially compact, so the cut crossed
 /// by edges is thin: most nodes are *interior* (every neighbor in the same
 /// shard) and only a narrow band is *boundary* (some neighbor elsewhere).
-/// That thin-cut property is what lets a sharded engine exchange only
-/// boundary-crossing traffic per round (sim/sharded_engine.hpp) — the same
-/// structure (k,m)-connectivity analysis exploits in clustered networks.
-///
-/// The plan also materializes each shard's *halo*: the out-of-shard nodes
-/// adjacent to it, i.e. the senders whose messages can cross into the shard.
-/// shard_cut_quality (graph/relabel.hpp) reports the boundary fraction per
-/// shard count — the diagnostic for whether an id order shards well.
+/// That thin-cut property is what keeps the simulator's cross-range traffic
+/// small when its workers own contiguous id ranges (sim/engine.hpp) — the
+/// same structure (k,m)-connectivity analysis exploits in clustered
+/// networks. shard_cut_quality (graph/relabel.hpp) reports the boundary
+/// fraction per shard count — the diagnostic for whether an id order shards
+/// well.
 #pragma once
 
 #include <cstdint>
@@ -25,15 +23,12 @@
 
 namespace khop {
 
-/// One shard's contiguous node range plus its cut structure.
+/// One shard's contiguous node range plus its boundary count.
 struct ShardRange {
   NodeId begin = 0;  ///< first owned node id
   NodeId end = 0;    ///< one past the last owned node id
-
-  /// Owned nodes with at least one neighbor outside [begin, end), ascending.
-  std::vector<NodeId> boundary_nodes;
-  /// Out-of-shard nodes adjacent to this shard (its halo), ascending.
-  std::vector<NodeId> halo;
+  /// Owned nodes with at least one neighbor outside [begin, end).
+  std::size_t num_boundary = 0;
 
   std::size_t size() const noexcept { return end - begin; }
 };
@@ -62,7 +57,7 @@ class ShardPlan {
   /// Total boundary nodes across all shards.
   std::size_t num_boundary_nodes() const noexcept { return boundary_total_; }
 
-  /// Boundary fraction of shard \p s: |boundary_nodes| / size (0 for an
+  /// Boundary fraction of shard \p s: num_boundary / size (0 for an
   /// empty shard). The per-shard form of the cut-quality diagnostic.
   double boundary_fraction(std::size_t s) const;
 

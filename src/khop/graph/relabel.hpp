@@ -87,7 +87,7 @@ std::vector<PriorityKey> relabel(const std::vector<PriorityKey>& prios,
 /// interior, 1 = every node on the cut. On a unit-disk graph a Hilbert
 /// relabeling keeps this near the perimeter/area ratio of the shard tiles,
 /// while a random order drives it toward 1 — the diagnostic for whether an
-/// id order is fit for the sharded engine (sim/sharded_engine.hpp).
+/// id order is fit for the simulator's id-range workers (sim/engine.hpp).
 double shard_cut_quality(const Graph& g, std::size_t num_shards);
 
 /// Results computed on the relabeled graph, mapped back to original ids.

@@ -1,16 +1,19 @@
 /// \file delivery.hpp
 /// Radio-driven DeliveryModel implementations for the synchronous simulator.
 ///
-/// The SyncEngine consults its DeliveryModel on every enqueue; a drop means
-/// the receiver simply never sees the message that round. Decisions come
-/// from a seeded Rng consumed in the engine's deterministic enqueue order,
-/// so a lossy run is a pure function of (topology, protocol, seed) — the
-/// same reproducibility contract as the ideal-MAC engine.
+/// The SyncEngine asks its DeliveryModel about every per-link attempt at the
+/// receiver, as it delivers; a drop means the receiver simply never sees the
+/// message. Every decision is a pure function of (seed, LinkAttempt): the
+/// seed keys a counter-based Philox4x32-10 draw (common/rng.hpp) whose
+/// counter is the attempt's (round, from, to, ordinal, attempt). No state
+/// changes between calls, so the engine may evaluate attempts in any order,
+/// on any thread, and a lossy run is still a pure function of (topology,
+/// protocol, seed) - the same reproducibility contract as the ideal MAC.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "khop/common/rng.hpp"
 #include "khop/radio/link_layer.hpp"
 #include "khop/sim/engine.hpp"
 
@@ -20,7 +23,7 @@ namespace khop {
 /// to running the engine with no delivery model at all.
 class PerfectDelivery final : public DeliveryModel {
  public:
-  bool attempt(NodeId /*from*/, NodeId /*to*/) override { return true; }
+  bool delivers(const LinkAttempt& /*a*/) const override { return true; }
 };
 
 /// Bernoulli per-link delivery: an attempt over {from, to} succeeds with the
@@ -34,11 +37,11 @@ class LinkDelivery final : public DeliveryModel {
   /// \p links must outlive this object.
   LinkDelivery(const LinkLayer& links, std::uint64_t seed);
 
-  bool attempt(NodeId from, NodeId to) override;
+  bool delivers(const LinkAttempt& a) const override;
 
  private:
   const LinkLayer* links_;
-  Rng rng_;
+  std::uint64_t seed_;
   /// probs_[u][i] = delivery probability to graph().neighbors(u)[i].
   std::vector<std::vector<double>> probs_;
 };
@@ -50,11 +53,11 @@ class UniformLossDelivery final : public DeliveryModel {
   /// \pre loss in [0, 1)
   UniformLossDelivery(double loss, std::uint64_t seed);
 
-  bool attempt(NodeId from, NodeId to) override;
+  bool delivers(const LinkAttempt& a) const override;
 
  private:
   double loss_;
-  Rng rng_;
+  std::uint64_t seed_;
 };
 
 }  // namespace khop

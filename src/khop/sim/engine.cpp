@@ -1,6 +1,9 @@
 #include "khop/sim/engine.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <tuple>
+#include <utility>
 
 #include "khop/common/assert.hpp"
 #include "khop/obs/metrics.hpp"
@@ -9,92 +12,387 @@
 
 namespace khop {
 
+namespace detail {
+
+/// One sealed broadcast. Its sender is implied by the group it sits in.
+struct BcastRec {
+  std::uint16_t type = 0;
+  std::uint32_t ordinal = 0;
+  PayloadView data;
+};
+
+/// One recorded message. `to` names the receiver of an addressed send and
+/// is unused in the broadcast log.
+struct SendRec {
+  NodeId to = kInvalidNode;
+  NodeId sender = kInvalidNode;
+  std::uint16_t type = 0;
+  std::uint32_t ordinal = 0;
+  PayloadView data;
+};
+
+/// One worker's contiguous id range [begin, end) and everything it owns.
+/// Records are double-buffered by round parity: round r writes side r & 1,
+/// and every range reads the other side, sealed before the last barrier.
+struct EngineRange {
+  std::size_t index = 0;
+  NodeId begin = 0;
+  NodeId end = 0;
+  /// Transmissions count at the sender's range; receptions, drops and
+  /// retransmissions at the receiver's. Folded into the engine at run end.
+  SimStats stats;
+  bool finished = false;  ///< every local agent finished() after the last step
+  bool pending = false;   ///< the last step recorded something to deliver
+
+  PayloadArena arena[2];
+  std::vector<SendRec> log[2];      ///< broadcasts, in record order
+  std::vector<NodeId> senders[2];   ///< distinct broadcasters
+  std::vector<BcastRec> sealed[2];  ///< log grouped by sender, each group
+                                    ///< sorted by (type, payload)
+  /// Addressed sends, one box per destination range.
+  std::vector<std::vector<SendRec>> sends[2];
+  /// Broadcasters whose neighborhood reaches a foreign range, one box per
+  /// destination range.
+  std::vector<std::vector<NodeId>> notices[2];
+
+  // Receive-side scratch, reused every round.
+  std::vector<NodeId> dests;       ///< ascending receivers of this round
+  std::vector<SendRec> inbox;      ///< addressed sends to this range, sorted
+                                   ///< by (to, sender, type, payload)
+  std::vector<std::uint32_t> stamp;  ///< receiver dedup marks, local index
+  std::uint32_t epoch = 0;
+  std::vector<BcastRec> merge;     ///< same-sender broadcast + send merge
+  obs::LocalHistogram inbox_sizes;
+
+  bool owns(NodeId v) const noexcept { return v - begin < end - begin; }
+};
+
+}  // namespace detail
+
 namespace {
 
-/// Destination-chunk granularity for the parallel executor. parallel_for
-/// partitions task indices in static contiguous blocks, so chunk count
-/// mainly bounds outbox count; a small multiple of the worker count keeps
-/// per-chunk merge state cheap while letting uneven inbox mass spread.
-constexpr std::size_t kChunksPerThread = 4;
+using detail::BcastRec;
+using detail::SendRec;
 
-std::size_t chunk_count(std::size_t items, ThreadPool& pool) {
-  return std::min(items, std::max<std::size_t>(1, pool.num_threads() *
-                                                      kChunksPerThread));
+bool by_type_payload(const BcastRec& a, const BcastRec& b) {
+  return std::tie(a.type, a.data) < std::tie(b.type, b.data);
 }
 
-/// Half-open subrange [lo, hi) of chunk \p c out of \p chunks over
-/// [0, items): same arithmetic as parallel_for's static blocks.
-std::pair<std::size_t, std::size_t> chunk_range(std::size_t items,
-                                                std::size_t chunks,
-                                                std::size_t c) {
-  const std::size_t lo = items * c / chunks;
-  const std::size_t hi = items * (c + 1) / chunks;
-  return {lo, hi};
+bool by_receiver(const SendRec& a, const SendRec& b) {
+  return std::tie(a.to, a.sender, a.type, a.data) <
+         std::tie(b.to, b.sender, b.type, b.data);
 }
 
 }  // namespace
+
+std::size_t NodeContext::round() const noexcept { return engine_->round_; }
+
+std::span<const NodeId> NodeContext::neighbors() const {
+  return engine_->graph_->neighbors(id_);
+}
+
+void NodeContext::broadcast(std::uint16_t type,
+                            std::span<const std::int64_t> data) {
+  engine_->record_broadcast(*range_, id_, type, data);
+}
+
+void NodeContext::send(NodeId to, std::uint16_t type,
+                       std::span<const std::int64_t> data) {
+  KHOP_REQUIRE(engine_->graph_->has_edge(id_, to),
+               "addressed send target is not a neighbor");
+  engine_->record_send(*range_, id_, to, type, data);
+}
 
 SyncEngine::SyncEngine(const Graph& g, const AgentFactory& factory,
                        const DeliveryOptions& delivery)
     : graph_(&g), delivery_(delivery), factory_(factory) {
   KHOP_REQUIRE(static_cast<bool>(factory_), "agent factory required");
-  core_.init(g, 0, static_cast<NodeId>(g.num_nodes()), delivery_, &stats_);
-  core_.create_agents(factory_);
+  create_agents();
 }
 
-void SyncEngine::replay(const detail::RawSend& send) {
-  if (delivery_.model == nullptr) {
-    // The payload already lives in the chunk arena, which flush_outboxes
-    // adopts into the write side after this loop - record it as-is.
-    if (send.to == kInvalidNode) {
-      core_.record_broadcast_adopted(send.from, send.type, send.data);
-    } else {
-      core_.record_send_adopted(send.from, send.to, send.type, send.data);
-    }
-    return;
+SyncEngine::~SyncEngine() = default;
+
+void SyncEngine::create_agents() {
+  agents_.resize(graph_->num_nodes());
+  for (NodeId v = 0; v < agents_.size(); ++v) {
+    agents_[v] = factory_(v);
+    KHOP_REQUIRE(agents_[v] != nullptr, "factory returned null agent");
   }
-  stats_.note_transmission(send.data.size());
-  if (send.to == kInvalidNode) {
-    for (NodeId v : graph_->neighbors(send.from)) {
-      core_.enqueue_direct(send.from, v, send.type, send.data);
+}
+
+NodeAgent& SyncEngine::agent(NodeId v) {
+  KHOP_REQUIRE(v < agents_.size(), "node out of range");
+  return *agents_[v];
+}
+
+const NodeAgent& SyncEngine::agent(NodeId v) const {
+  KHOP_REQUIRE(v < agents_.size(), "node out of range");
+  return *agents_[v];
+}
+
+void SyncEngine::reset_for_run(std::size_t num_ranges) {
+  // Re-entry: fresh agents so every run is an independent execution.
+  if (ran_) create_agents();
+  ran_ = true;
+  round_ = 0;
+  stats_ = SimStats{};
+  const std::size_t n = graph_->num_nodes();
+  for (unsigned side = 0; side < 2; ++side) {
+    bcast_count_[side].assign(n, 0);
+    bcast_first_[side].resize(n);
+  }
+  cursor_.resize(n);
+  tx_.assign(n, TxCount{});
+  // Everything is cleared, not just the live side: a handler exception in
+  // an earlier run may have left any range mid-step.
+  ranges_.resize(num_ranges);
+  for (std::size_t i = 0; i < num_ranges; ++i) {
+    Range& r = ranges_[i];
+    r.index = i;
+    r.begin = static_cast<NodeId>(n * i / num_ranges);
+    r.end = static_cast<NodeId>(n * (i + 1) / num_ranges);
+    r.stats = SimStats{};
+    r.finished = false;
+    r.pending = false;
+    for (unsigned side = 0; side < 2; ++side) {
+      r.arena[side].clear();
+      r.log[side].clear();
+      r.senders[side].clear();
+      r.sends[side].resize(num_ranges);
+      for (std::vector<SendRec>& box : r.sends[side]) box.clear();
+      r.notices[side].resize(num_ranges);
+      for (std::vector<NodeId>& box : r.notices[side]) box.clear();
+    }
+    r.stamp.assign(r.end - r.begin, 0);
+    r.epoch = 0;
+    r.inbox_sizes.clear();
+  }
+}
+
+std::size_t SyncEngine::range_of(NodeId v) const {
+  // Ranges tile [0, n) in order: the owner is the first one ending past v.
+  const auto it = std::upper_bound(
+      ranges_.begin(), ranges_.end(), v,
+      [](NodeId x, const Range& r) { return x < r.end; });
+  return static_cast<std::size_t>(it - ranges_.begin());
+}
+
+std::uint32_t SyncEngine::next_ordinal(NodeId from) {
+  TxCount& tx = tx_[from];
+  const auto round = static_cast<std::uint32_t>(round_);
+  if (tx.round != round) tx = TxCount{round, 0};
+  return tx.count++;
+}
+
+void SyncEngine::record_broadcast(Range& r, NodeId from, std::uint16_t type,
+                                  std::span<const std::int64_t> data) {
+  r.stats.note_transmission(data.size());
+  const std::uint32_t ordinal = next_ordinal(from);
+  // A broadcast with no receivers is a radio transmission (counted above)
+  // but schedules nothing: recording it would keep the write side non-empty
+  // and cost an extra round the reference engine never runs.
+  const std::span<const NodeId> nbrs = graph_->neighbors(from);
+  if (nbrs.empty()) return;
+  const unsigned w = round_ & 1u;
+  if (bcast_count_[w][from]++ == 0) {
+    r.senders[w].push_back(from);
+    // Adjacency is ascending and ranges are contiguous, so the two ends
+    // tell whether the neighborhood crosses the cut. If it does, notify
+    // each foreign range it reaches, once per round.
+    if (!r.owns(nbrs.front()) || !r.owns(nbrs.back())) {
+      std::size_t q = range_of(nbrs.front());
+      std::size_t told = r.index;
+      for (NodeId v : nbrs) {
+        while (v >= ranges_[q].end) ++q;
+        if (q != told && q != r.index) {
+          r.notices[w][q].push_back(from);
+          told = q;
+        }
+      }
+    }
+  }
+  // One materialization per broadcast: every receiver reads these words.
+  r.log[w].push_back(
+      SendRec{kInvalidNode, from, type, ordinal, r.arena[w].intern(data)});
+}
+
+void SyncEngine::record_send(Range& r, NodeId from, NodeId to,
+                             std::uint16_t type,
+                             std::span<const std::int64_t> data) {
+  r.stats.note_transmission(data.size());
+  const std::uint32_t ordinal = next_ordinal(from);
+  const unsigned w = round_ & 1u;
+  const std::size_t q = r.owns(to) ? r.index : range_of(to);
+  r.sends[w][q].push_back(
+      SendRec{to, from, type, ordinal, r.arena[w].intern(data)});
+}
+
+void SyncEngine::gather(Range& r, unsigned read) {
+  if (r.epoch == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(r.stamp.begin(), r.stamp.end(), 0);
+    r.epoch = 0;
+  }
+  ++r.epoch;
+  r.dests.clear();
+  const auto mark = [&r](NodeId v) {
+    std::uint32_t& s = r.stamp[v - r.begin];
+    if (s != r.epoch) {
+      s = r.epoch;
+      r.dests.push_back(v);
+    }
+  };
+  // A sender's in-range neighbors are one run of its ascending adjacency:
+  // each range walks only its own share of a cut-crossing neighborhood.
+  const auto reach = [&](NodeId s) {
+    const std::span<const NodeId> nbrs = graph_->neighbors(s);
+    auto it = r.owns(nbrs.front())
+                  ? nbrs.begin()
+                  : std::lower_bound(nbrs.begin(), nbrs.end(), r.begin);
+    for (; it != nbrs.end() && *it < r.end; ++it) mark(*it);
+  };
+
+  // Receivers: every local or notifying broadcaster's in-range neighbors,
+  // plus every addressed destination.
+  for (NodeId s : r.senders[read]) reach(s);
+  r.inbox.clear();
+  for (const Range& q : ranges_) {
+    if (&q != &r) {
+      for (NodeId s : q.notices[read][r.index]) reach(s);
+    }
+    const std::vector<SendRec>& box = q.sends[read][r.index];
+    r.inbox.insert(r.inbox.end(), box.begin(), box.end());
+  }
+  std::sort(r.inbox.begin(), r.inbox.end(), by_receiver);
+  for (const SendRec& m : r.inbox) mark(m.to);
+  std::sort(r.dests.begin(), r.dests.end());
+}
+
+bool SyncEngine::survives(SimStats& st, LinkAttempt a) const {
+  for (;; ++a.attempt) {
+    if (delivery_.model->delivers(a)) return true;
+    if (a.attempt >= delivery_.retry_budget) {
+      ++st.drops;
+      return false;
+    }
+    ++st.retransmissions;
+  }
+}
+
+void SyncEngine::deliver_to(Range& r, NodeId d, unsigned read,
+                            std::size_t& cursor) {
+  // d's addressed sends: a run of the (to, sender, ...)-sorted inbox.
+  const SendRec* sd = r.inbox.data() + cursor;
+  std::size_t ns = 0;
+  while (cursor < r.inbox.size() && r.inbox[cursor].to == d) {
+    ++cursor;
+    ++ns;
+  }
+  NodeAgent& agent = *agents_[d];
+  NodeContext ctx(*this, r, d);
+  const std::uint32_t* counts = bcast_count_[read].data();
+  const BcastRec* const* firsts = bcast_first_[read].data();
+  const std::size_t sent = round_ - 1;
+  const std::size_t rx0 = r.stats.receptions;
+  const auto hand = [&](NodeId s, std::uint16_t type, std::uint32_t ordinal,
+                        PayloadView data) {
+    if (delivery_.model != nullptr &&
+        !survives(r.stats, LinkAttempt{sent, s, d, ordinal, 0})) {
+      return;
+    }
+    ++r.stats.receptions;
+    agent.on_message(ctx, Message{s, type, data});
+  };
+
+  std::size_t si = 0;
+  for (NodeId s : graph_->neighbors(d)) {
+    // sd is sorted by sender and every send sender is a neighbor of d, so
+    // walking d's ascending adjacency consumes it in one pass. firsts[s] is
+    // only meaningful when the count is non-zero.
+    const std::uint32_t cnt = counts[s];
+    const std::size_t s_begin = si;
+    while (si < ns && sd[si].sender == s) ++si;
+    if (si == s_begin) {
+      const BcastRec* bs = cnt != 0 ? firsts[s] : nullptr;
+      for (std::uint32_t i = 0; i < cnt; ++i) {
+        hand(s, bs[i].type, bs[i].ordinal, bs[i].data);
+      }
+      continue;
+    }
+    if (cnt == 0) {
+      for (std::size_t i = s_begin; i < si; ++i) {
+        hand(s, sd[i].type, sd[i].ordinal, sd[i].data);
+      }
+      continue;
+    }
+    // Rare: s both broadcast and addressed d this round; merge the two
+    // (type, payload)-sorted groups.
+    r.merge.assign(firsts[s], firsts[s] + cnt);
+    for (std::size_t i = s_begin; i < si; ++i) {
+      r.merge.push_back(BcastRec{sd[i].type, sd[i].ordinal, sd[i].data});
+    }
+    std::sort(r.merge.begin(), r.merge.end(), by_type_payload);
+    for (const BcastRec& m : r.merge) hand(s, m.type, m.ordinal, m.data);
+  }
+  KHOP_ASSERT(si == ns, "send from non-neighbor in inbox assembly");
+  r.inbox_sizes.record(r.stats.receptions - rx0);
+}
+
+void SyncEngine::seal(Range& r, unsigned side) {
+  // Counting scatter of the log into per-sender groups (the counts were
+  // kept at record time), then a (type, payload) sort per group: record
+  // order is a handler artifact, the canonical inbox order is not.
+  std::uint32_t ofs = 0;
+  for (NodeId s : r.senders[side]) {
+    cursor_[s] = ofs;
+    ofs += bcast_count_[side][s];
+  }
+  std::vector<BcastRec>& sealed = r.sealed[side];
+  sealed.resize(r.log[side].size());
+  for (const SendRec& e : r.log[side]) {
+    sealed[cursor_[e.sender]++] = BcastRec{e.type, e.ordinal, e.data};
+  }
+  for (NodeId s : r.senders[side]) {
+    BcastRec* last = sealed.data() + cursor_[s];
+    BcastRec* first = last - bcast_count_[side][s];
+    if (last - first > 1) std::sort(first, last, by_type_payload);
+    bcast_first_[side][s] = first;
+  }
+  r.pending = !r.log[side].empty() ||
+              std::any_of(r.sends[side].begin(), r.sends[side].end(),
+                          [](const auto& box) { return !box.empty(); });
+}
+
+void SyncEngine::step(Range& r, bool deliver) {
+  const unsigned write = round_ & 1u;
+  // The write side was last read during the previous round, which every
+  // range has finished: its records, notices and arena are dead.
+  for (NodeId s : r.senders[write]) bcast_count_[write][s] = 0;
+  r.senders[write].clear();
+  r.log[write].clear();
+  r.arena[write].clear();
+  for (std::vector<SendRec>& box : r.sends[write]) box.clear();
+  for (std::vector<NodeId>& box : r.notices[write]) box.clear();
+
+  if (deliver) {
+    const unsigned read = write ^ 1u;
+    gather(r, read);
+    std::size_t cursor = 0;
+    for (NodeId d : r.dests) deliver_to(r, d, read, cursor);
+    for (NodeId v = r.begin; v < r.end; ++v) {
+      NodeContext ctx(*this, r, v);
+      agents_[v]->on_round_end(ctx);
     }
   } else {
-    core_.enqueue_direct(send.from, send.to, send.type, send.data);
+    for (NodeId v = r.begin; v < r.end; ++v) {
+      NodeContext ctx(*this, r, v);
+      agents_[v]->on_start(ctx);
+    }
   }
-}
 
-void SyncEngine::flush_outboxes(std::size_t used) {
-  for (std::size_t c = 0; c < used; ++c) {
-    detail::EngineOutbox& out = outboxes_[c];
-    stats_.receptions += out.receptions;
-    for (const detail::RawSend& s : out.sends) replay(s);
-    // Replayed views alias this chunk's arena: move it (addresses stable)
-    // into the write side's store instead of copying every payload again.
-    if (out.arena.num_blocks() > 0) adopted_.adopt(out.arena, core_.write_);
-    out.reset();
-  }
-}
-
-void SyncEngine::reset_for_run() {
-  if (ran_) {
-    // Re-entry: fresh agents so every run is an independent execution. (The
-    // pre-PR5 engine reset only round_, accumulating stats and replaying
-    // stale in-flight messages whose views pointed into never-cleared
-    // arenas.)
-    core_.create_agents(factory_);
-  }
-  ran_ = true;
-  stats_ = SimStats{};
-  core_.reset_state();
-  // Outboxes are normally drained by flush_outboxes, but an exception that
-  // escaped a parallel phase leaves completed chunks' recordings behind;
-  // they must not replay into this run. Likewise any unmerged telemetry
-  // samples from an abandoned run must not leak into this one.
-  for (detail::EngineOutbox& out : outboxes_) {
-    out.reset();
-    out.inbox_sizes.clear();
-  }
-  adopted_.reset();
+  seal(r, write);
+  r.finished = std::all_of(
+      agents_.begin() + r.begin, agents_.begin() + r.end,
+      [](const std::unique_ptr<NodeAgent>& a) { return a->finished(); });
 }
 
 bool SyncEngine::run(std::size_t max_rounds) {
@@ -106,141 +404,77 @@ bool SyncEngine::run(std::size_t max_rounds, ThreadPool& pool) {
 }
 
 bool SyncEngine::run_impl(std::size_t max_rounds, ThreadPool* pool) {
-  reset_for_run();
+  reset_for_run(pool != nullptr ? pool->num_threads() : 1);
 
-  // Observational only: the span, the cached histogram pointer, and every
-  // record below never feed back into delivery order or agent state, so the
-  // run is bit-identical with telemetry on or off.
+  // Observational only: spans and histograms never feed back into delivery
+  // order or agent state, so the run is bit-identical with telemetry on or
+  // off.
   obs::Span run_span("engine/run");
-  const bool tel = obs::enabled();
-  obs::Histogram* inbox_hist =
-      tel ? &obs::Registry::global().histogram("engine.inbox_size") : nullptr;
-  // Inbox sizes batch into plain-memory accumulators (serial: this one;
-  // parallel: one per chunk outbox, merged below) and fold into the sharded
-  // histogram once at end of run — the delivery loops never pay TLS or
-  // atomic traffic per destination.
-  obs::LocalHistogram inbox_local;
-  const auto merge_outbox_samples = [&] {
-    if (inbox_hist == nullptr) return;
-    for (detail::EngineOutbox& out : outboxes_) {
-      inbox_local.merge(out.inbox_sizes);
-    }
-  };
 
-  const std::size_t n = graph_->num_nodes();
-  // Parallel phase runner: work items [0, items) chunked across the pool,
-  // each chunk recording into its own outbox, merged in ascending chunk
-  // (= node/bucket) order. All three parallel phases (on_start /
-  // on_round_end, ideal-MAC delivery, lossy delivery) share it so the
-  // chunking arithmetic and flush ordering cannot diverge.
-  const auto chunked_phase = [&](std::size_t items, auto&& body) {
-    const std::size_t chunks = chunk_count(items, *pool);
-    if (outboxes_.size() < chunks) outboxes_.resize(chunks);
-    parallel_for_throwing(*pool, chunks, [&](std::size_t c) {
-      const auto [lo, hi] = chunk_range(items, chunks, c);
-      for (std::size_t i = lo; i < hi; ++i) body(i, outboxes_[c]);
-    });
-    flush_outboxes(chunks);
-  };
-
-  // Phase runner for the two all-nodes callbacks (on_start, on_round_end):
-  // serial in ascending node order, or chunked across the pool with the
-  // per-chunk outboxes merged in that same order.
-  const auto all_nodes_phase = [&](auto&& callback) {
+  // One step per range, concurrent under a pool. A step writes only its own
+  // range's records and its own nodes' per-node entries; it reads other
+  // ranges' records only from the side sealed before this barrier.
+  const auto each_range = [&](bool deliver) {
     if (pool == nullptr) {
-      for (NodeId v = 0; v < n; ++v) {
-        NodeContext ctx(core_, v);
-        callback(v, ctx);
-      }
+      step(ranges_.front(), deliver);
       return;
     }
-    chunked_phase(n, [&](std::size_t v, detail::EngineOutbox& out) {
-      NodeContext ctx(core_, static_cast<NodeId>(v), &out);
-      callback(static_cast<NodeId>(v), ctx);
+    parallel_for_throwing(*pool, ranges_.size(), [&](std::size_t i) {
+      obs::Span span("engine/range");
+      span.arg("range", static_cast<std::int64_t>(i));
+      step(ranges_[i], deliver);
     });
   };
+  const auto quiet = [&] {
+    return std::all_of(ranges_.begin(), ranges_.end(), [](const Range& r) {
+      return r.finished && !r.pending;
+    });
+  };
+  const auto totals = [&] {
+    std::size_t rx = 0;
+    std::size_t tx = 0;
+    for (const Range& r : ranges_) {
+      rx += r.stats.receptions;
+      tx += r.stats.transmissions;
+    }
+    return std::pair<std::size_t, std::size_t>(rx, tx);
+  };
 
-  all_nodes_phase(
-      [&](NodeId v, NodeContext& ctx) { core_.agents_[v]->on_start(ctx); });
+  each_range(false);
 
   bool quiesced = false;
-  while (core_.round_ < max_rounds) {
+  while (round_ < max_rounds) {
     // Quiescence check at the round boundary.
-    if (core_.write_side_empty() && core_.agents_finished()) {
+    if (quiet()) {
       quiesced = true;
       break;
     }
 
+    ++round_;
     ++stats_.rounds;
     obs::Span round_span("engine/round");
-    const std::size_t round_rx0 = stats_.receptions;
-    const std::size_t round_tx0 = stats_.transmissions;
-
-    // Flip buffers: this round's deliveries become the read side; handlers
-    // enqueue into the other side, whose previous contents (delivered two
-    // rounds ago) are dropped with capacity retained - including the chunk
-    // arenas adopted into that side by earlier merges.
-    const unsigned read = core_.begin_round(core_.round_ + 1);
-    adopted_.recycle(core_.write_);
-
-    if (delivery_.model == nullptr) {
-      // Fast path: no per-receiver message materialization; receivers walk
-      // their adjacency over the per-sender records.
-      core_.prepare_fast_round(read);
-      if (pool == nullptr) {
-        core_.deliver_fast_all(read, inbox_hist != nullptr ? &inbox_local
-                                                           : nullptr);
-      } else {
-        const std::span<const NodeId> dests = core_.fast_dests();
-        chunked_phase(dests.size(),
-                      [&](std::size_t b, detail::EngineOutbox& out) {
-                        NodeContext ctx(core_, dests[b], &out);
-                        const std::size_t rx0 = out.receptions;
-                        core_.deliver_fast_to(dests[b], read, ctx,
-                                              out.receptions, out.scratch);
-                        if (inbox_hist != nullptr) {
-                          out.inbox_sizes.record(out.receptions - rx0);
-                        }
-                      });
-        merge_outbox_samples();
-      }
-    } else {
-      // Lossy path: receiver-batched delivery over the materialized queue:
-      // destinations ascending, each inbox sorted by (sender, type,
-      // payload) - the same sequence as the preserved flat (to, sender,
-      // type, payload) sort, at O(M) partition + per-inbox sort cost
-      // instead of one O(M log M) sort over every in-flight message.
-      core_.partition_inbox(read);
-
-      if (pool == nullptr) {
-        core_.deliver_lossy_all(inbox_hist != nullptr ? &inbox_local
-                                                      : nullptr);
-      } else {
-        chunked_phase(core_.num_buckets(),
-                      [&](std::size_t b, detail::EngineOutbox& out) {
-                        NodeContext ctx(core_, core_.bucket_dest(b), &out);
-                        if (inbox_hist != nullptr) {
-                          out.inbox_sizes.record(core_.bucket_size(b));
-                        }
-                        core_.deliver_bucket(b, ctx, out.receptions);
-                      });
-        merge_outbox_samples();
-      }
-    }
-
-    all_nodes_phase(
-        [&](NodeId v, NodeContext& ctx) { core_.agents_[v]->on_round_end(ctx); });
-
-    round_span.arg("delivered",
-                   static_cast<std::int64_t>(stats_.receptions - round_rx0));
-    round_span.arg("sent",
-                   static_cast<std::int64_t>(stats_.transmissions - round_tx0));
+    const auto [rx0, tx0] = totals();
+    each_range(true);
+    const auto [rx1, tx1] = totals();
+    round_span.arg("delivered", static_cast<std::int64_t>(rx1 - rx0));
+    round_span.arg("sent", static_cast<std::int64_t>(tx1 - tx0));
   }
 
-  const bool done =
-      quiesced || (core_.write_side_empty() && core_.agents_finished());
-  if (inbox_hist != nullptr) inbox_local.flush(*inbox_hist);
-  if (tel) stats_.publish();
+  const bool done = quiesced || quiet();
+  obs::LocalHistogram inbox_sizes;
+  for (Range& r : ranges_) {
+    stats_.transmissions += r.stats.transmissions;
+    stats_.receptions += r.stats.receptions;
+    stats_.payload_words += r.stats.payload_words;
+    stats_.drops += r.stats.drops;
+    stats_.retransmissions += r.stats.retransmissions;
+    inbox_sizes.merge(r.inbox_sizes);
+  }
+  if (obs::enabled()) {
+    inbox_sizes.flush(obs::Registry::global().histogram("engine.inbox_size"));
+    stats_.publish();
+  }
+  run_span.arg("ranges", static_cast<std::int64_t>(ranges_.size()));
   run_span.arg("rounds", static_cast<std::int64_t>(stats_.rounds));
   run_span.arg("transmissions",
                static_cast<std::int64_t>(stats_.transmissions));

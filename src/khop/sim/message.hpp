@@ -151,8 +151,8 @@ struct SimStats {
   std::size_t retransmissions = 0; ///< link-layer retries attempted
 
   /// Counts one radio transmission carrying \p words payload words — the
-  /// single accounting point shared by every engine send path (broadcast /
-  /// addressed, serial / recorded / replayed).
+  /// single accounting point shared by the engine's broadcast and addressed
+  /// send paths.
   void note_transmission(std::size_t words) noexcept {
     ++transmissions;
     payload_words += words;

@@ -15,13 +15,12 @@ std::span<const NodeId> NodeContext::neighbors() const {
 
 void NodeContext::broadcast(std::uint16_t type,
                             std::vector<std::int64_t> data) {
-  ++engine_->stats_.transmissions;
-  engine_->stats_.payload_words += data.size();
+  const std::uint32_t ordinal = engine_->transmit(id_, data.size());
   // One materialization per broadcast: every neighbor's delivery aliases the
   // same interned words (the old path deep-copied the vector per neighbor).
   const PayloadView payload = engine_->arenas_[engine_->write_].intern(data);
   for (NodeId v : engine_->graph_->neighbors(id_)) {
-    engine_->enqueue(id_, v, type, payload);
+    engine_->enqueue(id_, v, type, payload, ordinal);
   }
 }
 
@@ -29,15 +28,14 @@ void NodeContext::send(NodeId to, std::uint16_t type,
                        std::vector<std::int64_t> data) {
   KHOP_REQUIRE(engine_->graph_->has_edge(id_, to),
                "addressed send target is not a neighbor");
-  ++engine_->stats_.transmissions;
-  engine_->stats_.payload_words += data.size();
+  const std::uint32_t ordinal = engine_->transmit(id_, data.size());
   const PayloadView payload = engine_->arenas_[engine_->write_].intern(data);
-  engine_->enqueue(id_, to, type, payload);
+  engine_->enqueue(id_, to, type, payload, ordinal);
 }
 
 SyncEngine::SyncEngine(const Graph& g, const AgentFactory& factory,
                        const DeliveryOptions& delivery)
-    : graph_(&g), delivery_(delivery) {
+    : graph_(&g), delivery_(delivery), sent_(g.num_nodes(), 0) {
   KHOP_REQUIRE(static_cast<bool>(factory), "agent factory required");
   agents_.reserve(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -46,21 +44,29 @@ SyncEngine::SyncEngine(const Graph& g, const AgentFactory& factory,
   }
 }
 
+std::uint32_t SyncEngine::transmit(NodeId from, std::size_t words) {
+  ++stats_.transmissions;
+  stats_.payload_words += words;
+  return sent_[from]++;
+}
+
 void SyncEngine::enqueue(NodeId from, NodeId to, std::uint16_t type,
-                         PayloadView data) {
-  if (delivery_.model != nullptr) {
-    bool delivered = delivery_.model->attempt(from, to);
-    for (std::size_t retry = 0; !delivered && retry < delivery_.retry_budget;
-         ++retry) {
-      ++stats_.retransmissions;
-      delivered = delivery_.model->attempt(from, to);
-    }
-    if (!delivered) {
-      ++stats_.drops;
-      return;
-    }
+                         PayloadView data, std::uint32_t ordinal) {
+  queues_[write_].push_back(
+      Routed{to, Message{from, type, data}, round_, ordinal});
+}
+
+bool SyncEngine::survives(const Routed& r) {
+  LinkAttempt a{r.round, r.msg.sender, r.to, r.ordinal, 0};
+  bool delivered = delivery_.model->delivers(a);
+  for (std::size_t retry = 0; !delivered && retry < delivery_.retry_budget;
+       ++retry) {
+    ++stats_.retransmissions;
+    ++a.attempt;
+    delivered = delivery_.model->delivers(a);
   }
-  queues_[write_].push_back(Routed{to, Message{from, type, data}});
+  if (!delivered) ++stats_.drops;
+  return delivered;
 }
 
 NodeAgent& SyncEngine::agent(NodeId v) {
@@ -99,6 +105,7 @@ bool SyncEngine::run(std::size_t max_rounds) {
     write_ ^= 1u;
     queues_[write_].clear();
     arenas_[write_].clear();
+    std::fill(sent_.begin(), sent_.end(), 0);
 
     // Deterministic delivery order, bit-for-bit as the per-destination
     // implementation: destinations ascending, then (sender, type, payload).
@@ -110,6 +117,7 @@ bool SyncEngine::run(std::size_t max_rounds) {
     });
 
     for (const Routed& r : inbox) {
+      if (delivery_.model != nullptr && !survives(r)) continue;
       ++stats_.receptions;
       NodeContext ctx(*this, r.to);
       agents_[r.to]->on_message(ctx, r.msg);

@@ -1,19 +1,25 @@
 /// \file reference.hpp
-/// Pre-PR5 synchronous engine, preserved verbatim as an independent oracle.
+/// The original synchronous engine, preserved as an independent oracle.
 ///
-/// The production SyncEngine (engine.hpp) now partitions each round's
-/// in-flight messages by receiver and sorts only within each inbox (plus a
-/// ThreadPool round executor); this copy keeps the original structure — one
-/// flat O(M log M) comparison sort over every in-flight message per round,
-/// whose comparator lexicographically compares payload words — and the
-/// original std::map-backed NeighborhoodDiscoveryAgent. They exist for the
-/// bit-exact equivalence suite (test_engine_equivalence) and as the `legacy`
-/// baseline the perf-regression harness measures `engine_flood` speedups
-/// against. Not for production call sites.
+/// The production SyncEngine (engine.hpp) records each broadcast once and
+/// lets receivers in any id range read it in place; this copy keeps the
+/// original structure — one flat O(M log M) comparison sort over every
+/// in-flight message per round, whose comparator lexicographically compares
+/// payload words — and the original std::map-backed
+/// NeighborhoodDiscoveryAgent. They exist for the bit-exact equivalence suite
+/// (test_engine_equivalence) and as the `legacy` baseline the perf-regression
+/// harness measures `engine_flood` speedups against. Not for production call
+/// sites.
+///
+/// One deliberate change from the original: loss follows the stateless
+/// DeliveryModel contract. Every per-link copy is queued with its send round
+/// and the sender's per-round message ordinal, and the model is asked at
+/// delivery. A round whose every transmission is dropped therefore still
+/// runs (its messages were in flight), exactly as in the production engine.
 ///
 /// Shared vocabulary (Message, PayloadView, PayloadArena, SimStats,
-/// DeliveryModel, DeliveryOptions) comes from the production headers; only
-/// the engine classes and the discovery agent are duplicated.
+/// LinkAttempt, DeliveryModel, DeliveryOptions) comes from the production
+/// headers; only the engine classes and the discovery agent are duplicated.
 #pragma once
 
 #include <functional>
@@ -61,9 +67,9 @@ class NodeAgent {
   virtual bool finished() const { return true; }
 };
 
-/// The pre-PR5 simulator, verbatim: flat double-buffered delivery queue and
-/// one whole-queue (to, sender, type, payload) sort per round. Single-run
-/// (it predates the re-entry fix; construct a fresh instance per run).
+/// The original simulator: flat double-buffered delivery queue and one
+/// whole-queue (to, sender, type, payload) sort per round. Single-run (it
+/// predates the re-entry fix; construct a fresh instance per run).
 class SyncEngine {
  public:
   using AgentFactory = std::function<std::unique_ptr<NodeAgent>(NodeId)>;
@@ -87,6 +93,8 @@ class SyncEngine {
   struct Routed {
     NodeId to = kInvalidNode;
     Message msg;
+    std::size_t round = 0;      ///< round the message was sent in
+    std::uint32_t ordinal = 0;  ///< sender's transmission index in it
   };
 
   const Graph* graph_;
@@ -96,9 +104,15 @@ class SyncEngine {
   PayloadArena arenas_[2];
   unsigned write_ = 0;
   std::size_t round_ = 0;
+  std::vector<std::uint32_t> sent_;  ///< per-node transmissions this round
   SimStats stats_;
 
-  void enqueue(NodeId from, NodeId to, std::uint16_t type, PayloadView data);
+  /// Counts one transmission by \p from and returns its ordinal.
+  std::uint32_t transmit(NodeId from, std::size_t words);
+  void enqueue(NodeId from, NodeId to, std::uint16_t type, PayloadView data,
+               std::uint32_t ordinal);
+  /// Asks the delivery model about \p r (first attempt plus retries).
+  bool survives(const Routed& r);
 };
 
 /// The pre-PR5 k-hop discovery agent, verbatim: per-node

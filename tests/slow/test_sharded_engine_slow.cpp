@@ -1,9 +1,10 @@
-// Larger-n sharded-engine equivalence (slow ctest label): ShardedEngine
-// against the single-shard SyncEngine at n ~ 1500 across the whole protocol
-// stack - k-hop discovery (ideal and lossy), distributed clustering, and
-// the AC-LMST gateway election - for shard counts {2, 3, 8}. Companion to
-// the ShardedEquivalence cases in tests/test_engine_equivalence.cpp at
-// CI-fast sizes.
+// Larger-n ranged-engine equivalence (slow ctest label): SyncEngine run
+// over a ThreadPool - one contiguous id range per thread - against the
+// single-range run at n ~ 1500 across the whole protocol stack - k-hop
+// discovery (ideal and lossy), distributed clustering, and the AC-LMST
+// gateway election - for range counts {2, 3, 8}. Companion to the
+// ShardedEquivalence cases in tests/test_engine_equivalence.cpp at CI-fast
+// sizes.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,11 +20,11 @@
 #include "khop/sim/protocols/clustering_protocol.hpp"
 #include "khop/sim/protocols/gateway_protocol.hpp"
 #include "khop/sim/protocols/neighborhood.hpp"
-#include "khop/sim/sharded_engine.hpp"
 
 namespace khop {
 namespace {
 
+/// Range counts: run(max_rounds, pool) cuts one id range per pool thread.
 constexpr std::size_t kShardCounts[] = {2, 3, 8};
 
 Graph random_topology(std::size_t n, double degree, std::uint64_t seed) {
@@ -65,18 +66,16 @@ TEST(ShardedEngineSlow, DiscoveryFloodMatchesSingleEngineAtScale) {
   }
 
   for (const std::size_t shards : kShardCounts) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
-      ThreadPool pool(threads);
-      ShardedEngine engine(g, factory, shards);
-      ASSERT_TRUE(engine.run(2 * k + 2, pool));
-      EXPECT_TRUE(same_stats(engine.stats(), single.stats()))
-          << "shards " << shards << " threads " << threads;
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        ASSERT_EQ(known_digest(dynamic_cast<const NeighborhoodDiscoveryAgent&>(
-                      engine.agent(v))),
-                  want[v])
-            << "shards " << shards << " threads " << threads << " node " << v;
-      }
+    ThreadPool pool(shards);
+    SyncEngine engine(g, factory);
+    ASSERT_TRUE(engine.run(2 * k + 2, pool));
+    EXPECT_TRUE(same_stats(engine.stats(), single.stats()))
+        << "shards " << shards;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(known_digest(dynamic_cast<const NeighborhoodDiscoveryAgent&>(
+                    engine.agent(v))),
+                want[v])
+          << "shards " << shards << " node " << v;
     }
   }
 }
@@ -110,8 +109,8 @@ TEST(ShardedEngineSlow, LossyDiscoveryMatchesSingleEngineAtScale) {
     DeliveryOptions opts;
     opts.model = &model;
     opts.retry_budget = 1;
-    ShardedEngine engine(g, factory, shards, opts);
-    ThreadPool pool(0);
+    SyncEngine engine(g, factory, opts);
+    ThreadPool pool(shards);
     engine.run(2 * k + 2, pool);
     EXPECT_TRUE(same_stats(engine.stats(), want_stats)) << "shards " << shards;
     double digest = 0.0;
@@ -163,9 +162,9 @@ TEST(ShardedEngineSlow, ClusteringAndGatewayElectionMatchSingleEngine) {
   }
 
   for (const std::size_t shards : kShardCounts) {
-    ThreadPool pool(0);
+    ThreadPool pool(shards);
 
-    ShardedEngine cluster(g, cluster_factory, shards);
+    SyncEngine cluster(g, cluster_factory);
     ASSERT_TRUE(cluster.run(cluster_rounds, pool));
     EXPECT_TRUE(same_stats(cluster.stats(), single.stats()))
         << "shards " << shards;
@@ -177,7 +176,7 @@ TEST(ShardedEngineSlow, ClusteringAndGatewayElectionMatchSingleEngine) {
           << "shards " << shards << " node " << v;
     }
 
-    ShardedEngine gw(g, gateway_factory, shards);
+    SyncEngine gw(g, gateway_factory);
     ASSERT_TRUE(gw.run(gateway_rounds, pool));
     EXPECT_TRUE(same_stats(gw.stats(), single_gw.stats()))
         << "shards " << shards;

@@ -1,10 +1,10 @@
-// Bit-exact equivalence suite for the PR5 SyncEngine round loop: the
-// receiver-batched serial engine and the ThreadPool round executor must
-// reproduce the preserved pre-PR5 engine (sim/reference.hpp) exactly -
-// delivery traces, stats, and lossy DeliveryModel consultation order - on
-// random topologies, for ideal and lossy links, for any thread count. The
-// flattened NeighborhoodDiscoveryAgent is cross-checked against the
-// preserved std::map agent the same way.
+// Bit-exact equivalence suite for the SyncEngine round loop: one id range
+// (run without a pool) and any number of concurrently stepped ranges (run
+// with a ThreadPool) must reproduce the preserved flat-sort engine
+// (sim/reference.hpp) exactly - delivery traces, stats, drops and retries -
+// on random topologies, for ideal and lossy links, on generator and on
+// Hilbert-relabeled ids. The flattened NeighborhoodDiscoveryAgent is
+// cross-checked against the preserved std::map agent the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,13 +13,13 @@
 #include <vector>
 
 #include "khop/common/error.hpp"
+#include "khop/graph/relabel.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/radio/delivery.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/sim/engine.hpp"
 #include "khop/sim/protocols/neighborhood.hpp"
 #include "khop/sim/reference.hpp"
-#include "khop/sim/sharded_engine.hpp"
 
 namespace khop {
 namespace {
@@ -129,17 +129,20 @@ class ReferenceTracingFloodAgent : public reference::NodeAgent {
   std::map<std::int64_t, bool> seen_;
 };
 
-/// Drops every n-th attempt: success depends only on the global attempt
-/// ordinal, so any reordering of DeliveryModel consultations between two
-/// runs shows up as a trace difference.
-class DropEveryNth final : public DeliveryModel {
+/// Drops an attempt iff round + from + 2*to + ordinal + attempt is 0 mod 3.
+/// A pure function, yet sensitive to every LinkAttempt field: an engine
+/// that misnumbers a sender's messages (the ordinal follows the order the
+/// sender's handlers transmit in), miscounts rounds or retries, or swaps
+/// the link's ends loses different messages than the reference. Three
+/// consecutive attempts cover every residue, so a retry budget of 2 always
+/// recovers.
+class ResidueDrop final : public DeliveryModel {
  public:
-  explicit DropEveryNth(std::size_t n) : n_(n) {}
-  bool attempt(NodeId, NodeId) override { return (++count_ % n_) != 0; }
-
- private:
-  std::size_t n_;
-  std::size_t count_ = 0;
+  bool delivers(const LinkAttempt& a) const override {
+    const std::size_t key =
+        a.round + a.from + 2 * std::size_t{a.to} + a.ordinal + a.attempt;
+    return key % 3 != 0;
+  }
 };
 
 struct RunResult {
@@ -149,7 +152,8 @@ struct RunResult {
 };
 
 RunResult run_reference(const Graph& g, Hops ttl, std::size_t max_rounds,
-                        DeliveryModel* model, std::size_t retry_budget) {
+                        const DeliveryModel* model,
+                        std::size_t retry_budget) {
   TraceStore store(g.num_nodes());
   DeliveryOptions opts;
   opts.model = model;
@@ -168,7 +172,7 @@ RunResult run_reference(const Graph& g, Hops ttl, std::size_t max_rounds,
 }
 
 RunResult run_production(const Graph& g, Hops ttl, std::size_t max_rounds,
-                         DeliveryModel* model, std::size_t retry_budget,
+                         const DeliveryModel* model, std::size_t retry_budget,
                          ThreadPool* pool) {
   TraceStore store(g.num_nodes());
   DeliveryOptions opts;
@@ -187,27 +191,9 @@ RunResult run_production(const Graph& g, Hops ttl, std::size_t max_rounds,
   return r;
 }
 
-RunResult run_sharded(const Graph& g, Hops ttl, std::size_t max_rounds,
-                      DeliveryModel* model, std::size_t retry_budget,
-                      std::size_t num_shards, ThreadPool* pool) {
-  TraceStore store(g.num_nodes());
-  DeliveryOptions opts;
-  opts.model = model;
-  opts.retry_budget = retry_budget;
-  ShardedEngine engine(
-      g,
-      [&](NodeId v) {
-        return std::make_unique<TracingFloodAgent>(v, ttl, &store);
-      },
-      num_shards, opts);
-  RunResult r;
-  r.quiescent = pool ? engine.run(max_rounds, *pool) : engine.run(max_rounds);
-  r.stats = engine.stats();
-  r.trace = store.canonical();
-  return r;
-}
-
-constexpr std::size_t kShardCounts[] = {1, 2, 3, 8};
+/// Range counts for the pooled runs: run(max_rounds, pool) cuts one id
+/// range per pool thread.
+constexpr std::size_t kRangeCounts[] = {1, 2, 3, 8};
 
 TEST(EngineEquivalence, SerialTraceMatchesReferenceIdeal) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -236,36 +222,35 @@ TEST(EngineEquivalence, ParallelTraceMatchesReferenceIdealAllThreadCounts) {
 }
 
 TEST(EngineEquivalence, LossyOrderSensitiveModelMatchesReference) {
-  // DropEveryNth ties each delivery to the global attempt ordinal: these
-  // expectations hold only if the new engines consult the model in exactly
-  // the reference enqueue order, drops, retries and all.
+  // ResidueDrop ties each delivery to its send round, link and per-sender
+  // ordinal: these expectations hold only if the engines number every
+  // sender's messages, rounds and retries exactly like the reference.
   const Graph g = random_topology(60, 5.0, 421);
   const Hops ttl = 3;
+  const ResidueDrop model;
   for (const std::size_t retry_budget : {std::size_t{0}, std::size_t{2}}) {
-    DropEveryNth ref_model(3);
     const RunResult want =
-        run_reference(g, ttl, ttl + 2, &ref_model, retry_budget);
+        run_reference(g, ttl, ttl + 2, &model, retry_budget);
     if (retry_budget == 0) {
-      // Without retries every 3rd attempt is lost for good; with budget 2
-      // the immediate retries always recover (failures are never adjacent),
-      // so the retransmission counter carries the order-sensitivity instead.
+      // Without retries a third of the attempts are lost for good; with
+      // budget 2 the retries always recover (three consecutive attempts
+      // cover every residue), so the retransmission counter carries the
+      // numbering-sensitivity instead.
       ASSERT_GT(want.stats.drops, 0u);
     } else {
       ASSERT_EQ(want.stats.drops, 0u);
       ASSERT_GT(want.stats.retransmissions, 0u);
     }
 
-    DropEveryNth serial_model(3);
     const RunResult serial =
-        run_production(g, ttl, ttl + 2, &serial_model, retry_budget, nullptr);
+        run_production(g, ttl, ttl + 2, &model, retry_budget, nullptr);
     EXPECT_TRUE(same_stats(serial.stats, want.stats));
     EXPECT_EQ(serial.trace, want.trace);
 
     for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
       ThreadPool pool(threads);
-      DropEveryNth par_model(3);
       const RunResult par =
-          run_production(g, ttl, ttl + 2, &par_model, retry_budget, &pool);
+          run_production(g, ttl, ttl + 2, &model, retry_budget, &pool);
       EXPECT_TRUE(same_stats(par.stats, want.stats)) << "threads " << threads;
       EXPECT_EQ(par.trace, want.trace) << "threads " << threads;
     }
@@ -531,62 +516,54 @@ TEST(EngineEquivalence, FlatNeighborhoodAgentParallelMatchesSerial) {
   }
 }
 
+// The ShardedEquivalence cases cut the ids into several ranges: one per
+// pool thread, each stepped by its own worker, with broadcasts read across
+// the cuts in place and addressed sends and notices crossing them.
+
 TEST(ShardedEquivalence, IdealTraceMatchesReferenceAllShardAndThreadCounts) {
   const Graph g = random_topology(90, 6.0, 501);
   const Hops ttl = 3;
   const RunResult want = run_reference(g, ttl, ttl + 2, nullptr, 0);
-  for (const std::size_t shards : kShardCounts) {
-    const RunResult serial =
-        run_sharded(g, ttl, ttl + 2, nullptr, 0, shards, nullptr);
-    EXPECT_EQ(serial.quiescent, want.quiescent) << "shards " << shards;
-    EXPECT_TRUE(same_stats(serial.stats, want.stats)) << "shards " << shards;
-    EXPECT_EQ(serial.trace, want.trace) << "shards " << shards;
+  const RunResult serial =
+      run_production(g, ttl, ttl + 2, nullptr, 0, nullptr);
+  EXPECT_EQ(serial.quiescent, want.quiescent);
+  EXPECT_TRUE(same_stats(serial.stats, want.stats));
+  EXPECT_EQ(serial.trace, want.trace);
 
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
-      ThreadPool pool(threads);  // 0 = hardware concurrency
-      const RunResult got =
-          run_sharded(g, ttl, ttl + 2, nullptr, 0, shards, &pool);
-      EXPECT_EQ(got.quiescent, want.quiescent)
-          << "shards " << shards << " threads " << threads;
-      EXPECT_TRUE(same_stats(got.stats, want.stats))
-          << "shards " << shards << " threads " << threads;
-      EXPECT_EQ(got.trace, want.trace)
-          << "shards " << shards << " threads " << threads;
-    }
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8},
+        std::size_t{0}}) {
+    ThreadPool pool(threads);  // 0 = hardware concurrency
+    const RunResult got = run_production(g, ttl, ttl + 2, nullptr, 0, &pool);
+    EXPECT_EQ(got.quiescent, want.quiescent) << "threads " << threads;
+    EXPECT_TRUE(same_stats(got.stats, want.stats)) << "threads " << threads;
+    EXPECT_EQ(got.trace, want.trace) << "threads " << threads;
   }
 }
 
 TEST(ShardedEquivalence, LossyOrderSensitiveModelMatchesReference) {
-  // DropEveryNth ties every delivery to the global attempt ordinal: the
-  // sharded engine passes only if its serial flush consults the model in
-  // the exact single-engine sequence - ascending destination across all
-  // shard cuts, ascending neighbor per broadcast, retries in place.
+  // ResidueDrop ties every delivery to its link, round and per-sender
+  // ordinal: the ranged runs pass only if the receiving range evaluates
+  // every copy - including copies read across a cut - under the numbering
+  // the sender fixed at record time, retries in place.
   const Graph g = random_topology(72, 5.0, 511);
   const Hops ttl = 3;
+  const ResidueDrop model;
   for (const std::size_t retry_budget : {std::size_t{0}, std::size_t{2}}) {
-    DropEveryNth ref_model(3);
     const RunResult want =
-        run_reference(g, ttl, ttl + 2, &ref_model, retry_budget);
+        run_reference(g, ttl, ttl + 2, &model, retry_budget);
     if (retry_budget == 0) {
       ASSERT_GT(want.stats.drops, 0u);
     } else {
       ASSERT_GT(want.stats.retransmissions, 0u);
     }
 
-    for (const std::size_t shards : kShardCounts) {
-      DropEveryNth serial_model(3);
-      const RunResult serial = run_sharded(g, ttl, ttl + 2, &serial_model,
-                                           retry_budget, shards, nullptr);
-      EXPECT_TRUE(same_stats(serial.stats, want.stats)) << "shards " << shards;
-      EXPECT_EQ(serial.trace, want.trace) << "shards " << shards;
-
-      ThreadPool pool(2);
-      DropEveryNth par_model(3);
-      const RunResult par = run_sharded(g, ttl, ttl + 2, &par_model,
-                                        retry_budget, shards, &pool);
-      EXPECT_TRUE(same_stats(par.stats, want.stats)) << "shards " << shards;
-      EXPECT_EQ(par.trace, want.trace) << "shards " << shards;
+    for (const std::size_t ranges : kRangeCounts) {
+      ThreadPool pool(ranges);
+      const RunResult par =
+          run_production(g, ttl, ttl + 2, &model, retry_budget, &pool);
+      EXPECT_TRUE(same_stats(par.stats, want.stats)) << "ranges " << ranges;
+      EXPECT_EQ(par.trace, want.trace) << "ranges " << ranges;
     }
   }
 }
@@ -598,20 +575,55 @@ TEST(ShardedEquivalence, LossyUniformSeededModelMatchesReference) {
   const RunResult want = run_reference(g, ttl, ttl + 2, &ref_model, 1);
   ASSERT_GT(want.stats.drops, 0u);
 
-  for (const std::size_t shards : kShardCounts) {
-    ThreadPool pool(0);
+  for (const std::size_t ranges : kRangeCounts) {
+    ThreadPool pool(ranges);
     UniformLossDelivery model(0.3, 909);
-    const RunResult got =
-        run_sharded(g, ttl, ttl + 2, &model, 1, shards, &pool);
-    EXPECT_TRUE(same_stats(got.stats, want.stats)) << "shards " << shards;
-    EXPECT_EQ(got.trace, want.trace) << "shards " << shards;
+    const RunResult got = run_production(g, ttl, ttl + 2, &model, 1, &pool);
+    EXPECT_TRUE(same_stats(got.stats, want.stats)) << "ranges " << ranges;
+    EXPECT_EQ(got.trace, want.trace) << "ranges " << ranges;
+  }
+}
+
+TEST(ShardedEquivalence, LossyTracesIdenticalForEveryPoolOnBothIdOrders) {
+  // Loss is decided at the receiver, so the range count must not move a
+  // single drop or retry - on generator ids (scattered: most senders
+  // notify foreign ranges) and on Hilbert ids (compact ranges: few do).
+  GeneratorConfig gen;
+  gen.num_nodes = 120;
+  gen.target_degree = 6.0;
+  Rng rng(561);
+  const AdHocNetwork net = generate_network(gen, rng);
+  const Graph hilbert = relabel(net.graph, sfc_relabeling(net.positions));
+  const Hops ttl = 3;
+  const UniformLossDelivery model(0.3, 4711);
+  for (const Graph* g : {&net.graph, &hilbert}) {
+    const char* order = g == &hilbert ? "hilbert" : "generator";
+    const RunResult want = run_reference(*g, ttl, ttl + 2, &model, 1);
+    ASSERT_GT(want.stats.drops, 0u) << order;
+    ASSERT_GT(want.stats.retransmissions, 0u) << order;
+
+    const RunResult serial =
+        run_production(*g, ttl, ttl + 2, &model, 1, nullptr);
+    EXPECT_EQ(serial.quiescent, want.quiescent) << order;
+    EXPECT_TRUE(same_stats(serial.stats, want.stats)) << order;
+    EXPECT_EQ(serial.trace, want.trace) << order;
+    for (const std::size_t ranges : kRangeCounts) {
+      ThreadPool pool(ranges);
+      const RunResult got =
+          run_production(*g, ttl, ttl + 2, &model, 1, &pool);
+      EXPECT_EQ(got.quiescent, want.quiescent)
+          << order << " ranges " << ranges;
+      EXPECT_TRUE(same_stats(got.stats, want.stats))
+          << order << " ranges " << ranges;
+      EXPECT_EQ(got.trace, want.trace) << order << " ranges " << ranges;
+    }
   }
 }
 
 TEST(ShardedEquivalence, MixedSendBroadcastPhasesMatchReference) {
   // Same-sender broadcasts and addressed sends from both handler phases
   // must interleave by (type, payload) in every receiver's inbox - here
-  // with senders and receivers split across shard cuts.
+  // with senders and receivers split across range cuts.
   using Agent = MixedPhaseAgent<NodeContext, NodeAgent>;
   using RefAgent =
       MixedPhaseAgent<reference::NodeContext, reference::NodeAgent>;
@@ -624,43 +636,42 @@ TEST(ShardedEquivalence, MixedSendBroadcastPhasesMatchReference) {
   EXPECT_TRUE(ref_engine.run(5));
   const std::vector<TraceEntry> want = ref_store.canonical();
 
-  for (const std::size_t shards : kShardCounts) {
-    for (const bool use_pool : {false, true}) {
-      ThreadPool pool(2);
-      TraceStore store(g.num_nodes());
-      ShardedEngine engine(
-          g, [&](NodeId v) { return std::make_unique<Agent>(v, &store); },
-          shards);
-      EXPECT_TRUE(use_pool ? engine.run(5, pool) : engine.run(5));
-      EXPECT_TRUE(same_stats(engine.stats(), ref_engine.stats()))
-          << "shards " << shards << " pool " << use_pool;
-      EXPECT_EQ(store.canonical(), want)
-          << "shards " << shards << " pool " << use_pool;
-    }
+  for (const std::size_t ranges : kRangeCounts) {
+    ThreadPool pool(ranges);
+    TraceStore store(g.num_nodes());
+    SyncEngine engine(
+        g, [&](NodeId v) { return std::make_unique<Agent>(v, &store); });
+    EXPECT_TRUE(engine.run(5, pool));
+    EXPECT_TRUE(same_stats(engine.stats(), ref_engine.stats()))
+        << "ranges " << ranges;
+    EXPECT_EQ(store.canonical(), want) << "ranges " << ranges;
   }
 }
 
 TEST(ShardedEquivalence, RerunIsBitIdentical) {
-  // One sharded engine, three runs (serial, pooled, serial): the reuse
-  // contract must hold across the shard split - fresh agents, reset shard
-  // stats, drained boundary outboxes.
+  // One engine, runs with changing range counts (3, 1, 8, 1): the reuse
+  // contract must hold across re-cuts - fresh agents, reset range stats,
+  // drained cross-range boxes.
   const Graph g = random_topology(60, 5.0, 541);
   const Hops ttl = 3;
   TraceStore store(g.num_nodes());
-  ShardedEngine engine(
-      g,
-      [&](NodeId v) {
-        return std::make_unique<TracingFloodAgent>(v, ttl, &store);
-      },
-      3);
+  SyncEngine engine(g, [&](NodeId v) {
+    return std::make_unique<TracingFloodAgent>(v, ttl, &store);
+  });
 
-  EXPECT_TRUE(engine.run(ttl + 2));
+  ThreadPool three(3);
+  EXPECT_TRUE(engine.run(ttl + 2, three));
   const std::vector<TraceEntry> first = store.canonical();
   const SimStats first_stats = engine.stats();
 
-  ThreadPool pool(2);
   store = TraceStore(g.num_nodes());
-  EXPECT_TRUE(engine.run(ttl + 2, pool));
+  EXPECT_TRUE(engine.run(ttl + 2));
+  EXPECT_TRUE(same_stats(engine.stats(), first_stats));
+  EXPECT_EQ(store.canonical(), first);
+
+  ThreadPool eight(8);
+  store = TraceStore(g.num_nodes());
+  EXPECT_TRUE(engine.run(ttl + 2, eight));
   EXPECT_TRUE(same_stats(engine.stats(), first_stats));
   EXPECT_EQ(store.canonical(), first);
 
@@ -672,7 +683,7 @@ TEST(ShardedEquivalence, RerunIsBitIdentical) {
 
 TEST(ShardedEquivalence, DiscoveryDigestsMatchSingleEngine) {
   // Protocol end state, not just traces: k-hop neighborhood tables from the
-  // sharded run must equal the single-engine run element for element.
+  // ranged runs must equal the single-range run element for element.
   const Graph g = random_topology(85, 6.0, 551);
   const Hops k = 2;
   SyncEngine single(g, [&](NodeId) {
@@ -680,22 +691,21 @@ TEST(ShardedEquivalence, DiscoveryDigestsMatchSingleEngine) {
   });
   ASSERT_TRUE(single.run(2 * k + 2));
 
-  for (const std::size_t shards : kShardCounts) {
-    ThreadPool pool(0);
-    ShardedEngine engine(
-        g,
-        [&](NodeId) { return std::make_unique<NeighborhoodDiscoveryAgent>(k); },
-        shards);
+  for (const std::size_t ranges : kRangeCounts) {
+    ThreadPool pool(ranges);
+    SyncEngine engine(g, [&](NodeId) {
+      return std::make_unique<NeighborhoodDiscoveryAgent>(k);
+    });
     ASSERT_TRUE(engine.run(2 * k + 2, pool));
     EXPECT_TRUE(same_stats(engine.stats(), single.stats()))
-        << "shards " << shards;
+        << "ranges " << ranges;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       const auto& a =
           dynamic_cast<const NeighborhoodDiscoveryAgent&>(single.agent(v));
       const auto& b =
           dynamic_cast<const NeighborhoodDiscoveryAgent&>(engine.agent(v));
       EXPECT_EQ(a.known().sorted_items(), b.known().sorted_items())
-          << "shards " << shards << " node " << v;
+          << "ranges " << ranges << " node " << v;
     }
   }
 }

@@ -1,9 +1,11 @@
 // Delivery-aware simulation tests: the SyncEngine's DeliveryModel hook, the
 // drop/retransmission accounting, the lossy flood runner, and the lossy
-// experiment trial. Two properties carry the subsystem:
+// experiment trial. Three properties carry the subsystem:
 //   1. zero-loss configurations reproduce the legacy ideal-MAC pipeline
-//      bit-for-bit (graph, protocol outcome, and message accounting), and
-//   2. lossy runs are deterministic in the seed.
+//      bit-for-bit (graph, protocol outcome, and message accounting),
+//   2. lossy runs are deterministic in the seed, and
+//   3. every per-link attempt draws independently: a decision is a pure
+//      function of (seed, round, from, to, ordinal, attempt).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -30,7 +32,7 @@ bool same_stats(const SimStats& a, const SimStats& b) {
 /// Drops every attempt; used to pin down the accounting semantics.
 class BlackHole final : public DeliveryModel {
  public:
-  bool attempt(NodeId, NodeId) override { return false; }
+  bool delivers(const LinkAttempt&) const override { return false; }
 };
 
 class OneShotSender final : public NodeAgent {
@@ -101,19 +103,76 @@ TEST(DeliveryHook, AttemptRatesTrackPerLinkProbabilities) {
   ASSERT_NEAR(layer.probability(0, 3), 0.5, 1e-12);
   ASSERT_NEAR(layer.probability(0, 4), 0.2, 1e-12);
 
-  LinkDelivery delivery(layer, 123);
+  // Distinct attempts on one link: one per round, ordinal and retry index
+  // fixed, so the rate measures the per-link probability alone.
+  const LinkDelivery delivery(layer, 123);
   const int trials = 20000;
   for (NodeId v = 1; v < 5; ++v) {
     int delivered = 0;
     for (int t = 0; t < trials; ++t) {
-      if (delivery.attempt(0, v)) ++delivered;
+      if (delivery.delivers(LinkAttempt{static_cast<std::size_t>(t), 0, v})) {
+        ++delivered;
+      }
     }
     EXPECT_NEAR(static_cast<double>(delivered) / trials,
                 layer.probability(0, v), 0.02)
         << "link 0-" << v;
   }
   // Non-links never deliver (distance 11.5 > r_max).
-  for (int t = 0; t < 100; ++t) EXPECT_FALSE(delivery.attempt(1, 3));
+  for (int t = 0; t < 100; ++t) {
+    EXPECT_FALSE(
+        delivery.delivers(LinkAttempt{static_cast<std::size_t>(t), 1, 3}));
+  }
+}
+
+/// Node 0 broadcasts two messages (ordinals 0 and 1) in each of rounds
+/// 0 .. kRounds-1; node 1 tallies, per send round, how many of the pair
+/// arrived.
+class PairBeacon final : public NodeAgent {
+ public:
+  static constexpr std::size_t kRounds = 400;
+
+  explicit PairBeacon(NodeId id) : id_(id) {}
+  void on_start(NodeContext& ctx) override { send_pair(ctx); }
+  void on_round_end(NodeContext& ctx) override {
+    if (ctx.round() < kRounds) send_pair(ctx);
+  }
+  void on_message(NodeContext&, const Message& msg) override {
+    ++arrived[static_cast<std::size_t>(msg.data[0])];
+  }
+
+  std::vector<int> arrived = std::vector<int>(kRounds, 0);
+
+ private:
+  void send_pair(NodeContext& ctx) {
+    if (id_ != 0) return;
+    const auto r = static_cast<std::int64_t>(ctx.round());
+    ctx.broadcast(1, {r, 0});
+    ctx.broadcast(1, {r, 1});
+  }
+  NodeId id_;
+};
+
+TEST(DeliveryHook, TwoBroadcastsInOneRoundDrawIndependentDrops) {
+  // Same sender, same link, same round: only the per-sender ordinal tells
+  // the two attempts apart. Under loss 0.5 exactly one of the pair should
+  // arrive in about half the rounds; draws shared by the pair would make
+  // that count 0.
+  const Graph g = Graph::from_edges(2, EdgeList{{0, 1}});
+  const UniformLossDelivery half(0.5, 2024);
+  DeliveryOptions delivery;
+  delivery.model = &half;
+  SyncEngine engine(
+      g, [](NodeId v) { return std::make_unique<PairBeacon>(v); }, delivery);
+  EXPECT_TRUE(engine.run(PairBeacon::kRounds + 2));
+  const auto& rx = dynamic_cast<const PairBeacon&>(engine.agent(1)).arrived;
+  int exactly_one = 0;
+  for (const int got : rx) exactly_one += got == 1 ? 1 : 0;
+  // Binomial(400, 1/2): mean 200, sd 10; six sd either side.
+  EXPECT_GT(exactly_one, 140);
+  EXPECT_LT(exactly_one, 260);
+  EXPECT_EQ(engine.stats().drops + engine.stats().receptions,
+            2 * PairBeacon::kRounds);
 }
 
 class LossyFixture : public ::testing::Test {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <vector>
 
@@ -102,6 +103,20 @@ TEST(Rng, SplitMix64KnownValue) {
   // first output is 0xE220A8397B1DCDAF.
   std::uint64_t state = 0;
   EXPECT_EQ(splitmix64(state), 0xE220A8397B1DCDAFULL);
+}
+
+TEST(Philox, KnownAnswerVectors) {
+  // Philox4x32-10 known-answer vectors published with the Random123
+  // reference implementation (counter, key) -> output.
+  using Words = std::array<std::uint32_t, 4>;
+  EXPECT_EQ(philox4x32({0, 0, 0, 0}, {0, 0}),
+            (Words{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}));
+  EXPECT_EQ(philox4x32({0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+                       {0xffffffff, 0xffffffff}),
+            (Words{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}));
+  EXPECT_EQ(philox4x32({0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+                       {0xa4093822, 0x299f31d0}),
+            (Words{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}));
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // ShardPlan properties: the contiguous ranges partition the id space, the
-// interior/boundary classification and halo lists match brute force, and
-// the shard_cut_quality diagnostic shows Hilbert order beating random order
-// on jittered-grid unit-disk graphs (the thin-cut property the sharded
-// engine relies on).
+// interior/boundary classification and counts match brute force, and the
+// shard_cut_quality diagnostic shows Hilbert order beating random order on
+// jittered-grid unit-disk graphs (the thin-cut property that keeps the
+// simulator's cross-range traffic small).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "khop/common/rng.hpp"
@@ -62,7 +61,7 @@ TEST(ShardPlan, SurplusShardsAreEmpty) {
   EXPECT_EQ(covered, g.num_nodes());
 }
 
-TEST(ShardPlan, BoundaryAndHaloMatchBruteForce) {
+TEST(ShardPlan, BoundaryMatchesBruteForce) {
   const Graph g = random_topology(84, 6.0, 903);
   for (const std::size_t shards : {2u, 3u, 5u, 8u}) {
     const ShardPlan plan(g, shards);
@@ -81,18 +80,10 @@ TEST(ShardPlan, BoundaryAndHaloMatchBruteForce) {
     for (std::size_t s = 0; s < shards; ++s) {
       const ShardRange& r = plan.shard(s);
       std::vector<NodeId> want_boundary;
-      std::set<NodeId> want_halo;
       for (NodeId v = r.begin; v < r.end; ++v) {
         if (plan.is_boundary(v)) want_boundary.push_back(v);
-        for (NodeId u : g.neighbors(v)) {
-          if (plan.shard_of(u) != s) want_halo.insert(u);
-        }
       }
-      EXPECT_EQ(r.boundary_nodes, want_boundary) << "shard " << s;
-      EXPECT_TRUE(std::is_sorted(r.halo.begin(), r.halo.end()));
-      EXPECT_EQ(std::vector<NodeId>(want_halo.begin(), want_halo.end()),
-                r.halo)
-          << "shard " << s;
+      EXPECT_EQ(r.num_boundary, want_boundary.size()) << "shard " << s;
       if (r.size() > 0) {
         EXPECT_DOUBLE_EQ(plan.boundary_fraction(s),
                          static_cast<double>(want_boundary.size()) /
@@ -106,7 +97,6 @@ TEST(ShardPlan, SingleShardHasNoBoundary) {
   const Graph g = random_topology(50, 5.0, 904);
   const ShardPlan plan(g, 1);
   EXPECT_EQ(plan.num_boundary_nodes(), 0u);
-  EXPECT_TRUE(plan.shard(0).halo.empty());
   EXPECT_DOUBLE_EQ(plan.boundary_fraction(0), 0.0);
   EXPECT_DOUBLE_EQ(shard_cut_quality(g, 1), 0.0);
 }
