@@ -12,6 +12,14 @@
 
 namespace khop {
 
+namespace {
+
+/// Horizon of the cheap bounded connectivity probe tried before falling
+/// back to a full component walk (partition/merge accounting).
+constexpr Hops kProbeHorizon = 4;
+
+}  // namespace
+
 void ChurnStats::note_event(ChurnEventType type) noexcept {
   ++events;
   switch (type) {
@@ -187,7 +195,7 @@ void ChurnEngine::mark_from_seed(NodeId s, bool mark_k) {
 }
 
 bool ChurnEngine::probe_connected(NodeId a, NodeId b) {
-  ws_.bfs.run(g_, a, opts_.probe_horizon);
+  ws_.bfs.run(g_, a, kProbeHorizon);
   if (ws_.bfs.dist(b) != kUnreachable) return true;
   ws_.bfs.run(g_, a, kUnreachable);
   return ws_.bfs.dist(b) != kUnreachable;
@@ -196,7 +204,7 @@ bool ChurnEngine::probe_connected(NodeId a, NodeId b) {
 std::size_t ChurnEngine::count_groups(const std::vector<NodeId>& nodes) {
   if (nodes.size() <= 1) return nodes.size();
   // Cheap common case: one bounded probe reaches every node -> one group.
-  ws_.bfs.run(g_, nodes.front(), opts_.probe_horizon);
+  ws_.bfs.run(g_, nodes.front(), kProbeHorizon);
   bool all = true;
   for (NodeId v : nodes) {
     if (ws_.bfs.dist(v) == kUnreachable) {
@@ -231,6 +239,7 @@ void ChurnEngine::drop_dead_head(NodeId h) {
 }
 
 ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
+  validate_event(g_, e);  // before any state, counters included, changes
   ChurnEventReport report;
   stats_.note_event(e.type);
   obs::Span span("churn/event");
@@ -239,27 +248,10 @@ ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
   affected_H_.clear();
   touched_.begin(g_.capacity());
 
-  // Validation + structural no-op detection (before any state changes).
-  switch (e.type) {
-    case ChurnEventType::kFail:
-      KHOP_REQUIRE(g_.alive(e.a), "failure event names a dead node");
-      break;
-    case ChurnEventType::kJoin:
-      KHOP_REQUIRE(!g_.alive(e.a), "join event names an alive node");
-      for (NodeId w : e.neighbors) {
-        KHOP_REQUIRE(g_.alive(w), "join neighbor must be alive");
-      }
-      break;
-    case ChurnEventType::kLinkDown:
-      KHOP_REQUIRE(g_.alive(e.a) && g_.alive(e.b),
-                   "link event endpoints must be alive");
-      report.structural_noop = !g_.has_edge(e.a, e.b);
-      break;
-    case ChurnEventType::kLinkUp:
-      KHOP_REQUIRE(g_.alive(e.a) && g_.alive(e.b),
-                   "link event endpoints must be alive");
-      report.structural_noop = g_.has_edge(e.a, e.b);
-      break;
+  if (e.type == ChurnEventType::kLinkDown) {
+    report.structural_noop = !g_.has_edge(e.a, e.b);
+  } else if (e.type == ChurnEventType::kLinkUp) {
+    report.structural_noop = g_.has_edge(e.a, e.b);
   }
   if (report.structural_noop) {
     ++stats_.noop_events;

@@ -10,6 +10,35 @@
 
 namespace khop {
 
+void validate_event(const DynamicGraph& g, const ChurnEvent& e) {
+  // DynamicGraph::alive rejects out-of-range ids with InvalidArgument.
+  switch (e.type) {
+    case ChurnEventType::kFail:
+      KHOP_REQUIRE(g.alive(e.a), "failure event names a dead node");
+      return;
+    case ChurnEventType::kJoin: {
+      KHOP_REQUIRE(!g.alive(e.a), "join event names an alive node");
+      for (NodeId w : e.neighbors) {
+        KHOP_REQUIRE(w != e.a && g.alive(w),
+                     "join neighbor must be another alive node");
+      }
+      std::vector<NodeId> sorted(e.neighbors);
+      std::sort(sorted.begin(), sorted.end());
+      KHOP_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                       sorted.end(),
+                   "duplicate join neighbor");
+      return;
+    }
+    case ChurnEventType::kLinkDown:
+    case ChurnEventType::kLinkUp:
+      KHOP_REQUIRE(g.alive(e.a) && g.alive(e.b),
+                   "link event endpoints must be alive");
+      KHOP_REQUIRE(e.a != e.b, "link event endpoints must differ");
+      return;
+  }
+  KHOP_REQUIRE(false, "unknown churn event type");
+}
+
 bool apply_event(DynamicGraph& g, const ChurnEvent& e) {
   switch (e.type) {
     case ChurnEventType::kFail:

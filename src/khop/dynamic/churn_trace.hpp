@@ -42,6 +42,13 @@ struct ChurnEvent {
   std::vector<NodeId> neighbors;  ///< join events: links of the revived node
 };
 
+/// Throws InvalidArgument unless \p e applies to \p g: every id in range, a
+/// failure names an alive node, a join a dead one with alive, distinct
+/// neighbors other than itself, and a link event two distinct alive
+/// endpoints. Every consumer that keeps state beside the graph (engine
+/// counters, the WAL) runs it first, so a rejected event leaves no trace.
+void validate_event(const DynamicGraph& g, const ChurnEvent& e);
+
 /// Applies \p e to \p g. The single mutation path shared by the trace
 /// generator, the churn engine, and the reference maintainer, so all three
 /// always see identical topology sequences. Returns false when the event is

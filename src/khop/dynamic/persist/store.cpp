@@ -123,6 +123,8 @@ DurableChurnEngine DurableChurnEngine::create(const Graph& g0, Hops k,
 }
 
 ChurnEventReport DurableChurnEngine::apply(const ChurnEvent& e) {
+  // A rejected event must not reach the log, or recovery would replay it.
+  validate_event(engine_.graph(), e);
   wal_.append(e);  // durability first: the event outlives the process
   ChurnEventReport report = engine_.apply(e);
   ++cursor_;

@@ -11,6 +11,7 @@
 ///   wal-<cursor>.khwal    events from that cursor until the next snapshot
 ///
 /// Write protocol:
+///   validate_event(event) -> a rejected event touches neither log nor engine
 ///   append(event) -> active WAL (flushed every wal_flush_every records)
 ///   apply(event)  -> engine
 ///   every snapshot_every events: encode state -> snap-*.tmp -> fsync-free
@@ -80,8 +81,8 @@ class DurableChurnEngine {
                                     DurabilityOptions dopts = {},
                                     ChurnEngineOptions eopts = {});
 
-  /// WAL-append (durability first), then engine apply, then auto-snapshot
-  /// at the snapshot_every boundary.
+  /// Validate, WAL-append (durability first), then engine apply, then
+  /// auto-snapshot at the snapshot_every boundary.
   ChurnEventReport apply(const ChurnEvent& e);
 
   /// Writes a snapshot at the current cursor, rotates the WAL, retires

@@ -96,14 +96,19 @@ void DynamicGraph::add_node(NodeId u, std::span<const NodeId> nbrs) {
   check_node(u);
   KHOP_REQUIRE(alive_[u] == 0, "cannot revive an alive node");
   KHOP_ASSERT(adj_[u].empty(), "dead node with edges");
-  for (NodeId w : nbrs) {
+  // Check every neighbor before the first insert: a rejected join must
+  // leave the graph untouched.
+  std::vector<NodeId> list(nbrs.begin(), nbrs.end());
+  std::sort(list.begin(), list.end());
+  KHOP_REQUIRE(std::adjacent_find(list.begin(), list.end()) == list.end(),
+               "duplicate join neighbor");
+  for (NodeId w : list) {
     KHOP_REQUIRE(w != u, "self-loops are not allowed");
     KHOP_REQUIRE(alive(w), "join neighbor must be alive");
-    const bool inserted = sorted_insert(adj_[u], w);
-    KHOP_REQUIRE(inserted, "duplicate join neighbor");
-    sorted_insert(adj_[w], u);
   }
-  num_edges_ += adj_[u].size();
+  for (NodeId w : list) sorted_insert(adj_[w], u);
+  num_edges_ += list.size();
+  adj_[u] = std::move(list);
   alive_[u] = 1;
   ++num_alive_;
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "khop/common/error.hpp"
 #include "khop/dynamic/churn_engine.hpp"
 #include "khop/dynamic/churn_trace.hpp"
 #include "khop/dynamic/persist/crash_point.hpp"
@@ -234,6 +235,32 @@ TEST(CrashRecovery, RecoveryIsRepeatable) {
   EXPECT_EQ(rep1.snapshot_cursor, rep2.snapshot_cursor);
   EXPECT_EQ(rep1.wal_tail, rep2.wal_tail);
   expect_identical(second.engine(), first.engine(), "repeat");
+}
+
+/// An event the engine rejects must never reach the WAL: otherwise recovery
+/// replays it, throws, and the directory is lost for good.
+TEST(CrashRecovery, RejectedEventNeverReachesWal) {
+  const Graph g = make_network(7005, 60);
+  TempDir dir("rejected");
+  DurabilityOptions dopts;
+  dopts.snapshot_every = 0;
+  DurableChurnEngine durable =
+      DurableChurnEngine::create(g, 2, Pipeline::kAcLmst, dir.path, dopts);
+  ChurnEvent fail;
+  fail.type = ChurnEventType::kFail;
+  fail.a = 5;
+  durable.apply(fail);
+  EXPECT_THROW(durable.apply(fail), InvalidArgument);  // 5 is already dead
+  EXPECT_EQ(durable.cursor(), 1u);
+  fail.a = 6;
+  durable.apply(fail);
+  durable.flush_wal();
+
+  RecoveryReport rep;
+  DurableChurnEngine recovered = DurableChurnEngine::recover(dir.path, &rep);
+  EXPECT_EQ(rep.cursor, 2u);
+  EXPECT_EQ(rep.replayed_events, 2u);
+  expect_identical(recovered.engine(), durable.engine(), "rejected");
 }
 
 }  // namespace

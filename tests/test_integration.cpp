@@ -1,11 +1,11 @@
 // End-to-end integration tests: full workflows spanning generation,
-// clustering, backbone construction, broadcast, failure repair and the
-// distributed protocol stack on one network.
+// clustering, backbone construction, broadcast, rotation and the
+// distributed protocol stack on one network (failure repair lives with the
+// other maintenance tests in test_maintenance.cpp).
 #include <gtest/gtest.h>
 
 #include "khop/cds/broadcast.hpp"
 #include "khop/core/pipeline.hpp"
-#include "khop/dynamic/events.hpp"
 #include "khop/dynamic/rotation.hpp"
 #include "khop/exp/experiment.hpp"
 #include "khop/graph/components.hpp"
@@ -41,36 +41,6 @@ TEST(Integration, FullDistributedStackEqualsCentralizedPipeline) {
   EXPECT_EQ(dist_clustering.heads, central.clustering.heads);
   EXPECT_EQ(dist_backbone.gateways, central.backbone.gateways);
   EXPECT_EQ(dist_backbone.virtual_links, central.backbone.virtual_links);
-}
-
-TEST(Integration, BackboneSurvivesFailureStorm) {
-  // Kill ten random non-cut nodes one after another, repairing after each;
-  // the backbone must stay valid throughout.
-  GeneratorConfig cfg;
-  cfg.num_nodes = 120;
-  cfg.target_degree = 10.0;
-  Rng rng(3002);
-  AdHocNetwork net = generate_network(cfg, rng);
-  Graph graph = net.graph;
-  Clustering clustering = khop_clustering(graph, 2);
-  Backbone backbone = build_backbone(graph, clustering, Pipeline::kAcLmst);
-
-  std::size_t repairs = 0;
-  for (int attempt = 0; attempt < 40 && repairs < 10; ++attempt) {
-    const auto victim =
-        static_cast<NodeId>(rng.uniform_int(graph.num_nodes()));
-    const auto rep = handle_node_failure(graph, clustering, backbone,
-                                         Pipeline::kAcLmst, victim);
-    if (!rep.remainder_connected) continue;
-    ++repairs;
-    EXPECT_TRUE(rep.validation_error.empty())
-        << "repair " << repairs << ": " << rep.validation_error;
-    graph = rep.remainder.graph;
-    clustering = rep.clustering;
-    backbone = rep.backbone;
-  }
-  EXPECT_EQ(repairs, 10u);
-  EXPECT_GE(graph.num_nodes(), 110u);
 }
 
 TEST(Integration, MobilityEpochsKeepPipelineValid) {
