@@ -4,9 +4,10 @@
 
 #include "khop/common/assert.hpp"
 #include "khop/dynamic/churn_reference.hpp"
+#include "khop/gateway/head_sweep.hpp"
 #include "khop/gateway/lmst.hpp"
 #include "khop/gateway/mesh.hpp"
-#include "khop/nbr/neighbor_rules.hpp"
+#include "khop/graph/components.hpp"
 #include "khop/obs/metrics.hpp"
 #include "khop/obs/trace.hpp"
 
@@ -81,12 +82,10 @@ ChurnEngine::ChurnEngine(const Graph& g0, Hops k, Pipeline pipeline,
     member_pos_[v] = static_cast<std::uint32_t>(list.size());
     list.push_back(v);
   }
-  const NeighborSelection sel0 =
-      select_neighbors(g0, c_, spec_.neighbor_rule, ws_);
-  for (std::uint32_t i = 0; i < heads_.size(); ++i) {
-    sel_[heads_[i]] = sel0.selected[i];
-  }
-  links_ = VirtualLinkMap::build_bounded(g0, sel0.head_pairs, horizon_, ws_);
+  // The initial selections and links come from the same per-head sweep as
+  // every later repair; ascending heads append their owned links in
+  // source-major order.
+  for (NodeId h : heads_) resweep_one(h);
   combine();
 }
 
@@ -156,8 +155,21 @@ ChurnEngine::ChurnEngine(RestoreTag, ChurnEngineRestore r,
                  "restored virtual link endpoint is not a live head");
     iu->second.push_back(l.v);
     iv->second.push_back(l.u);
+    // The link must be a u..v path of the restored graph within the 2k+1
+    // horizon (hops is checked first, so hops + 1 cannot wrap). has_edge
+    // range-checks both ids, and dead nodes have no edges, so every node of
+    // the path is alive. Canonicality is left to audit().
+    KHOP_REQUIRE(l.hops <= horizon_ && l.path.size() == l.hops + 1 &&
+                     l.path.front() == l.u && l.path.back() == l.v,
+                 "restored virtual link path malformed");
+    for (std::size_t i = 0; i + 1 < l.path.size(); ++i) {
+      KHOP_REQUIRE(g_.has_edge(l.path[i], l.path[i + 1]),
+                   "restored virtual link path is not a path in the graph");
+    }
   }
   for (auto& [h, list] : sel_) std::sort(list.begin(), list.end());
+  KHOP_REQUIRE(num_components_ == alive_components(),
+               "restored component count does not match the graph");
 
   combine();
 }
@@ -192,6 +204,12 @@ void ChurnEngine::mark_from_seed(NodeId s, bool mark_k) {
     affected_H_.insert(w);
     if (mark_k && ws_.bfs.dist(w) <= k_) affected_k_.insert(w);
   }
+}
+
+std::size_t ChurnEngine::alive_components() const {
+  // Dead nodes are isolated in the snapshot: one singleton component each.
+  return connected_components(g_.snapshot()).count -
+         (g_.capacity() - g_.num_alive());
 }
 
 bool ChurnEngine::probe_connected(NodeId a, NodeId b) {
@@ -489,50 +507,34 @@ void ChurnEngine::repair_affiliations(std::vector<NodeId>& orphans,
 
 void ChurnEngine::resweep_one(NodeId h) {
   std::vector<NodeId> old_sel = std::move(sel_[h]);  // creates for new heads
-  ws_.bfs.run(g_, h, horizon_);
-
-  std::vector<NodeId> nsel;
+  HeadSlice s;
   if (spec_.neighbor_rule == NeighborRule::kAllWithin2k1) {
-    // Exactly the canonical per-head sweep of gateway/head_sweep.cpp.
-    for (NodeId w : ws_.bfs.reached()) {
-      if (w != h && c_.head_of[w] == w) nsel.push_back(w);
-    }
-    std::sort(nsel.begin(), nsel.end());
+    // NC discovers its selection in the sweep (head_of marks the live
+    // heads; c_.heads is only refreshed by combine()).
+    sweep_head(g_, h, horizon_, &c_, {}, ws_.bfs, s);
   } else {
     // A-NCR: heads of clusters adjacent to h's cluster. Every witness edge
     // has one endpoint among h's members, so a member edge scan finds all.
     for (NodeId m : members_.at(h)) {
       for (NodeId y : g_.neighbors(m)) {
         const NodeId h2 = c_.head_of[y];
-        if (h2 != h) nsel.push_back(h2);
+        if (h2 != h) s.selected.push_back(h2);
       }
     }
-    std::sort(nsel.begin(), nsel.end());
-    nsel.erase(std::unique(nsel.begin(), nsel.end()), nsel.end());
+    std::sort(s.selected.begin(), s.selected.end());
+    s.selected.erase(std::unique(s.selected.begin(), s.selected.end()),
+                     s.selected.end());
+    sweep_head(g_, h, horizon_, nullptr, s.selected, ws_.bfs, s);  // reads it
   }
-
-  // Upsert the links this head owns (smaller endpoint). Strict domination
-  // keeps every selected pair within 2k+1 hops, so the bounded sweep always
-  // reaches the target.
-  for (NodeId v : nsel) {
-    if (v <= h) continue;
-    KHOP_ASSERT(ws_.bfs.dist(v) != kUnreachable,
-                "selected head beyond the 2k+1 horizon");
-    VirtualLink l;
-    l.u = h;
-    l.v = v;
-    l.hops = ws_.bfs.dist(v);
-    l.path = ws_.bfs.extract_path(v);
-    links_.insert(std::move(l));
-  }
+  for (VirtualLink& l : s.links) links_.insert(std::move(l));
   // Selection changes are symmetric, so a dropped pair is seen (and safely
   // erased, possibly twice) by whichever endpoint re-sweeps.
   for (NodeId v : old_sel) {
-    if (!std::binary_search(nsel.begin(), nsel.end(), v)) {
+    if (!std::binary_search(s.selected.begin(), s.selected.end(), v)) {
       links_.erase(std::min(h, v), std::max(h, v));
     }
   }
-  sel_[h] = std::move(nsel);
+  sel_[h] = std::move(s.selected);
 }
 
 void ChurnEngine::resweep_heads(ChurnEventReport& report) {
@@ -627,6 +629,9 @@ std::string ChurnEngine::audit() {
   }
   if (member_count != g_.num_alive()) {
     return "member lists do not partition the alive nodes";
+  }
+  if (num_components_ != alive_components()) {
+    return "component count out of sync with the graph";
   }
 
   // Exact distances + strict domination, against fresh k-bounded BFS.

@@ -19,8 +19,10 @@
 ///    canonical 2k+1-hop link paths it owns can only change if a mutated or
 ///    re-affiliated vertex lies within 2k+1 hops. The same seed sweeps (plus
 ///    a post-repair pass from re-affiliated nodes and new heads) mark those
-///    heads; each re-runs exactly the canonical per-head sweep of
-///    gateway/head_sweep.cpp and upserts/drops its owned links. Both NC and
+///    heads; each re-runs the phase-2 head sweep (sweep_head in
+///    gateway/head_sweep.hpp, the one static backbone construction uses)
+///    and upserts/drops its owned links. The constructor sweeps every head
+///    the same way, so selections and links have one producer. Both NC and
 ///    AC selections are symmetric and any change marks both endpoints, so
 ///    links owned by an unmarked smaller head are still valid.
 ///  * Gateway combine: LMST keep decisions can shift from changes up to
@@ -162,8 +164,10 @@ class ChurnEngine {
   /// every derived structure (member lists, per-head selections from the
   /// symmetric link set, the combined backbone). Validates the clustering
   /// against the restored topology (sizes, strict-ascending live heads,
-  /// per-node head/distance sanity) and throws InvalidArgument on any
-  /// violation, so corrupt persisted state cannot become a live engine.
+  /// per-node head/distance sanity), every link path (from u to v, hops + 1
+  /// nodes, hops <= 2k+1, consecutive nodes adjacent) and the component
+  /// count, and throws InvalidArgument on any violation, so corrupt
+  /// persisted state cannot become a live engine.
   static ChurnEngine restore(ChurnEngineRestore r,
                              ChurnEngineOptions opts = {});
 
@@ -176,8 +180,9 @@ class ChurnEngine {
   std::size_t run(const ChurnTrace& trace);
 
   /// Cross-checks the incremental state against full recomputation:
-  /// topology consistency, membership structures, exact distances + strict
-  /// domination, per-head selection, canonical link paths, and the
+  /// topology consistency, membership structures, the component count,
+  /// exact distances + strict domination, per-head selection, canonical
+  /// link paths, and the
   /// per-component from-scratch backbone (bit-exact). Returns "" on
   /// success, else a description of the first violation.
   std::string audit();
@@ -213,6 +218,7 @@ class ChurnEngine {
   void attach_member(NodeId v, NodeId head, Hops dist);
   void mark_from_seed(NodeId s, bool mark_k);
   std::size_t count_groups(const std::vector<NodeId>& nodes);
+  std::size_t alive_components() const;
   bool probe_connected(NodeId a, NodeId b);
   void orphan_node(NodeId v, std::vector<NodeId>& orphans);
   void repair_distances(std::vector<NodeId>& orphans,

@@ -8,7 +8,6 @@
 #include "khop/gateway/lmst.hpp"
 #include "khop/gateway/mesh.hpp"
 #include "khop/obs/trace.hpp"
-#include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
@@ -79,9 +78,9 @@ std::vector<NodeRole> Backbone::roles(std::size_t n) const {
 
 namespace {
 
-/// One of \p ws / \p pool is set; pool selects the parallel sweep variants.
+/// The sweeps run serially on \p ws, or across \p pool when it is set.
 Backbone build_backbone_impl(const Graph& g, const Clustering& c,
-                             const BackboneSpec& spec, Workspace* ws,
+                             const BackboneSpec& spec, Workspace& ws,
                              ThreadPool* pool) {
   obs::Span span("backbone/build");
   span.arg("heads", static_cast<std::int64_t>(c.heads.size()));
@@ -92,22 +91,21 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
 
   if (spec.gateway == GatewayAlgorithm::kGmst) {
     obs::Span gw_span("backbone/gmst");
-    GmstResult r =
-        pool != nullptr ? gmst_gateways(g, c, *pool) : gmst_gateways(g, c, *ws);
+    GmstResult r = gmst_gateways(g, c, ws, pool);
     b.gateways = std::move(r.gateways);
     b.virtual_links = std::move(r.kept_links);
     span.arg("gateways", static_cast<std::int64_t>(b.gateways.size()));
     return b;
   }
 
+  const Hops horizon = 2 * c.k + 1;
   NeighborSelection sel;
   VirtualLinkMap links;
   if (spec.neighbor_rule == NeighborRule::kAllWithin2k1) {
-    // NC: one fused sweep per head discovers neighbor heads AND extracts
-    // their virtual links (no separate per-source BFS pass at all).
+    // NC: one sweep per head discovers neighbor heads AND extracts their
+    // virtual links (no separate per-source BFS pass at all).
     obs::Span sweep_span("backbone/head_sweep");
-    HeadSweep sweep =
-        pool != nullptr ? nc_sweep(g, c, *pool) : nc_sweep(g, c, *ws);
+    HeadSweep sweep = nc_sweep(g, c, horizon, ws, pool);
     sel = std::move(sweep.sel);
     links = std::move(sweep.links);
     sweep_span.arg("head_pairs", static_cast<std::int64_t>(sel.head_pairs.size()));
@@ -116,16 +114,11 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
     // horizon-3 sweeps); their pairs all sit within 2k+1 hops, so link
     // extraction runs horizon-bounded.
     obs::Span sel_span("backbone/select_neighbors");
-    sel = select_neighbors(g, c, spec.neighbor_rule,
-                           pool != nullptr ? tls_workspace() : *ws);
+    sel = select_neighbors(g, c, spec.neighbor_rule, ws);
     sel_span.arg("head_pairs", static_cast<std::int64_t>(sel.head_pairs.size()));
-    const Hops horizon = 2 * c.k + 1;
     obs::Span links_span("backbone/extract_links");
-    links = pool != nullptr
-                ? VirtualLinkMap::build_bounded(g, sel.head_pairs, horizon,
-                                                *pool)
-                : VirtualLinkMap::build_bounded(g, sel.head_pairs, horizon,
-                                                *ws);
+    links =
+        VirtualLinkMap::build_bounded(g, sel.head_pairs, horizon, ws, pool);
   }
 
   {
@@ -150,12 +143,12 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
 
 Backbone build_backbone(const Graph& g, const Clustering& c,
                         const BackboneSpec& spec, Workspace& ws) {
-  return build_backbone_impl(g, c, spec, &ws, nullptr);
+  return build_backbone_impl(g, c, spec, ws, nullptr);
 }
 
 Backbone build_backbone(const Graph& g, const Clustering& c,
                         const BackboneSpec& spec, ThreadPool& pool) {
-  return build_backbone_impl(g, c, spec, nullptr, &pool);
+  return build_backbone_impl(g, c, spec, tls_workspace(), &pool);
 }
 
 Backbone build_backbone(const Graph& g, const Clustering& c,

@@ -95,11 +95,11 @@ Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
 Backbone build_backbone(const Graph& g, const Clustering& c,
                         const BackboneSpec& spec, Workspace& ws);
 
-/// Parallel variants: the per-head sweeps (NC discovery + link extraction,
-/// AC/G-MST link extraction, G-MST head-graph build) fan out across \p pool;
-/// each worker uses its thread's tls_workspace() and results merge in
-/// head-index order, so the output is bit-identical to the serial overloads
-/// for any thread count.
+/// Parallel variants: the per-head sweeps (NC and G-MST discovery + link
+/// extraction, AC link extraction) fan out across \p pool; each worker uses
+/// its thread's tls_workspace() and results merge in head-index order, so
+/// the output is bit-identical to the serial overloads for any thread
+/// count. Both forms run one body; the sweeps take an optional pool.
 Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
                         ThreadPool& pool);
 Backbone build_backbone(const Graph& g, const Clustering& c,

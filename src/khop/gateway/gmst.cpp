@@ -3,90 +3,57 @@
 #include <algorithm>
 #include <utility>
 
-#include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
-#include "khop/runtime/thread_pool.hpp"
-#include "khop/runtime/workspace.hpp"
+#include "khop/gateway/head_sweep.hpp"
 
 namespace khop {
 
 namespace {
 
-/// One head's virtual edges (i, j, d) for neighbor heads j > i inside the
-/// horizon, read off the sweep's reached set. Emitting only j > i (heads
-/// ascend in id, so w > u <=> j > i) yields each undirected edge once.
-void head_edges_one(const Graph& g, const Clustering& c, std::uint32_t i,
-                    Hops horizon, Workspace& ws,
-                    std::vector<WeightedEdge>& out) {
-  const NodeId u = c.heads[i];
-  ws.bfs.run(g, u, horizon);
-  for (NodeId w : ws.bfs.reached()) {
-    if (w <= u || !c.is_head(w)) continue;
-    out.push_back({i, c.cluster_of[w], ws.bfs.dist(w)});
-  }
-}
-
-std::vector<WeightedEdge> head_edges(const Graph& g, const Clustering& c,
-                                     Hops horizon, Workspace* ws,
-                                     ThreadPool* pool) {
-  const std::size_t h = c.heads.size();
-  std::vector<std::vector<WeightedEdge>> slots(h);
-  if (pool != nullptr) {
-    parallel_for_throwing(*pool, h, [&](std::size_t i) {
-      head_edges_one(g, c, static_cast<std::uint32_t>(i), horizon,
-                     tls_workspace(), slots[i]);
-    });
-  } else {
-    for (std::uint32_t i = 0; i < h; ++i) {
-      head_edges_one(g, c, i, horizon, *ws, slots[i]);
-    }
-  }
+/// The head graph over head indices. Heads ascend in id, so each link
+/// (u < v) gives an edge with i < j, and index tie-breaking == id
+/// tie-breaking.
+std::vector<WeightedEdge> head_graph(const Clustering& c,
+                                     const VirtualLinkMap& links) {
   std::vector<WeightedEdge> edges;
-  for (auto& s : slots) {
-    edges.insert(edges.end(), s.begin(), s.end());
+  edges.reserve(links.all().size());
+  for (const VirtualLink& l : links.all()) {
+    edges.push_back({c.cluster_of[l.u], c.cluster_of[l.v], l.hops});
   }
   return edges;
 }
 
-GmstResult gmst_impl(const Graph& g, const Clustering& c, Workspace* ws,
-                     ThreadPool* pool) {
-  KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
-  const std::size_t h = c.heads.size();
-  const Hops horizon = 2 * c.k + 1;
+}  // namespace
 
+GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws,
+                         ThreadPool* pool) {
+  const std::size_t h = c.heads.size();
+  HeadSweep sweep = nc_sweep(g, c, 2 * c.k + 1, ws, pool);
   std::vector<WeightedEdge> tree;
   try {
-    tree = kruskal_mst(h, head_edges(g, c, horizon, ws, pool));
+    tree = kruskal_mst(h, head_graph(c, sweep.links));
   } catch (const NotConnected&) {
     // The bounded head graph spans whenever every node is within k hops of
     // its head (see file comment); an invariant-violating clustering gets
     // the complete virtual graph instead. Kruskal's order is a strict total
     // order on head pairs, and every omitted edge sorts after the spanning
     // bounded set, so on spanning inputs both graphs give the same MST.
-    tree = kruskal_mst(h, head_edges(g, c, kUnreachable, ws, pool));
+    sweep = nc_sweep(g, c, kUnreachable, ws, pool);
+    tree = kruskal_mst(h, head_graph(c, sweep.links));
   }
 
   GmstResult r;
-  // Head indices are ascending in id, so index tie-breaking == id
-  // tie-breaking; translate back to ids afterwards.
   r.tree.reserve(tree.size());
+  r.kept_links.reserve(tree.size());
   for (const auto& e : tree) {
-    r.tree.push_back({c.heads[e.u], c.heads[e.v], e.weight});
+    const NodeId u = c.heads[e.u];
+    const NodeId v = c.heads[e.v];
+    r.tree.push_back({u, v, e.weight});
+    r.kept_links.emplace_back(std::min(u, v), std::max(u, v));
   }
-
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(r.tree.size());
-  for (const auto& e : r.tree) {
-    pairs.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
-  }
-  const VirtualLinkMap links =
-      pool != nullptr ? VirtualLinkMap::build_bounded(g, pairs, horizon, *pool)
-                      : VirtualLinkMap::build_bounded(g, pairs, horizon, *ws);
-
-  std::sort(pairs.begin(), pairs.end());
-  r.kept_links = pairs;
-  for (const auto& [u, v] : pairs) {
-    const VirtualLink& link = links.link(u, v);
+  std::sort(r.kept_links.begin(), r.kept_links.end());
+  for (const auto& [u, v] : r.kept_links) {
+    const VirtualLink& link = sweep.links.link(u, v);
     for (std::size_t i = 1; i + 1 < link.path.size(); ++i) {
       const NodeId w = link.path[i];
       if (!c.is_head(w)) r.gateways.push_back(w);
@@ -96,21 +63,6 @@ GmstResult gmst_impl(const Graph& g, const Clustering& c, Workspace* ws,
   r.gateways.erase(std::unique(r.gateways.begin(), r.gateways.end()),
                    r.gateways.end());
   return r;
-}
-
-}  // namespace
-
-GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws) {
-  return gmst_impl(g, c, &ws, nullptr);
-}
-
-GmstResult gmst_gateways(const Graph& g, const Clustering& c) {
-  return gmst_impl(g, c, &tls_workspace(), nullptr);
-}
-
-GmstResult gmst_gateways(const Graph& g, const Clustering& c,
-                         ThreadPool& pool) {
-  return gmst_impl(g, c, nullptr, &pool);
 }
 
 }  // namespace khop

@@ -4,15 +4,16 @@
 /// (weight = hop distance in G), takes its MST, and marks the interior nodes
 /// of the tree edges' canonical shortest paths as gateways.
 ///
-/// PR4: the virtual graph is built from one 2k+1-BOUNDED BFS per head
-/// (neighbor heads read off the reached set) instead of one unbounded BFS
-/// per head probing all H heads. Dropping the > 2k+1 edges cannot change the
-/// MST: every node sits within k hops of its head, so walking any shortest
-/// path between two heads yields a head chain whose edges are all <= 2k+1 —
-/// a cycle in which any longer edge is the strict maximum (cycle property).
-/// If the bounded head graph fails to span (input violating the clustering
-/// invariant), the build transparently falls back to the complete graph, so
-/// the output stays bit-identical to the reference on every spanning input.
+/// The virtual graph is the NC head sweep's (gateway/head_sweep.hpp) links
+/// (u, v, hops), and the gateways are read off the same links' paths, so
+/// G-MST runs no BFS of its own. Dropping the > 2k+1 pairs cannot change
+/// the MST: every node sits within k hops of its head, so walking any
+/// shortest path between two heads yields a head chain whose edges are all
+/// <= 2k+1 — a cycle in which any longer edge is the strict maximum (cycle
+/// property). If the bounded head graph fails to span (input violating the
+/// clustering invariant), the same sweep reruns at kUnreachable to give the
+/// complete graph, so the output stays bit-identical to the reference on
+/// every input.
 #pragma once
 
 #include <vector>
@@ -35,15 +36,9 @@ struct GmstResult {
   std::vector<NodeId> gateways;
 };
 
-/// Computes the G-MST backbone for \p c over \p g.
-GmstResult gmst_gateways(const Graph& g, const Clustering& c);
-
-/// Workspace variant: per-head sweeps and link extraction reuse \p ws.
-GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws);
-
-/// Parallel variant: per-head sweeps fan out across \p pool (per-worker
-/// tls workspaces), merged in head order. Bit-identical output.
-GmstResult gmst_gateways(const Graph& g, const Clustering& c,
-                         ThreadPool& pool);
+/// Computes the G-MST backbone for \p c over \p g; the head sweeps run
+/// serially on \p ws, or across \p pool (bit-identical output).
+GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws,
+                         ThreadPool* pool = nullptr);
 
 }  // namespace khop

@@ -4,57 +4,71 @@
 #include <utility>
 
 #include "khop/common/assert.hpp"
+#include "khop/common/error.hpp"
+#include "khop/graph/dynamic_graph.hpp"
 #include "khop/obs/metrics.hpp"
 #include "khop/obs/telemetry.hpp"
-#include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
 
-namespace {
-
-/// One head's share of the fused pass: neighbor heads discovered from the
-/// sweep's reached set, and the canonical links for the pairs this head
-/// sources (v > u, extracted from the same BFS state). `selected` is left
-/// sorted ascending; links are emitted in ascending target order, matching
-/// the source-major/ascending-target order of the grouped build.
-struct PerHead {
-  std::vector<NodeId> selected;
-  std::vector<VirtualLink> links;
-};
-
-void sweep_one(const Graph& g, const Clustering& c, NodeId u, Hops horizon,
-               Workspace& ws, PerHead& out) {
-  ws.bfs.run(g, u, horizon);
-  for (NodeId w : ws.bfs.reached()) {
-    if (w == u || !c.is_head(w)) continue;
-    out.selected.push_back(w);
+template <typename GraphT>
+void sweep_head(const GraphT& g, NodeId u, Hops horizon,
+                const Clustering* discover, std::span<const NodeId> partners,
+                BfsScratch& bfs, HeadSlice& out) {
+  if (discover == nullptr && (partners.empty() || partners.back() <= u)) {
+    return;  // every given pair belongs to its other endpoint's sweep
   }
-  // The reached set is level-ordered; selection lists and link targets are
-  // id-ordered, so sort once here (NC discovery never yields duplicates).
-  std::sort(out.selected.begin(), out.selected.end());
-  for (NodeId v : out.selected) {
-    if (v <= u) continue;  // pair (v, u) is extracted during v's own sweep
-    VirtualLink link;
-    link.u = u;
-    link.v = v;
-    link.hops = ws.bfs.dist(v);
-    link.path = ws.bfs.extract_path(v);
-    out.links.push_back(std::move(link));
+  bfs.run(g, u, horizon);
+  if (discover != nullptr) {
+    for (NodeId w : bfs.reached()) {
+      if (w != u && discover->is_head(w)) out.selected.push_back(w);
+    }
+    // The reached set is level-ordered; selections are id-ordered (NC
+    // discovery never yields duplicates).
+    std::sort(out.selected.begin(), out.selected.end());
+    partners = out.selected;
+  }
+  const auto owned = partners.subspan(static_cast<std::size_t>(
+      std::upper_bound(partners.begin(), partners.end(), u) -
+      partners.begin()));
+  if (horizon != kUnreachable &&
+      std::any_of(owned.begin(), owned.end(),
+                  [&](NodeId v) { return bfs.dist(v) == kUnreachable; })) {
+    bfs.run(g, u, kUnreachable);
+    out.fallback = true;
+  }
+  out.links.reserve(out.links.size() + owned.size());
+  for (NodeId v : owned) {
+    if (bfs.dist(v) == kUnreachable) {
+      throw NotConnected("virtual link endpoints are disconnected in G");
+    }
+    out.links.push_back({u, v, bfs.dist(v), bfs.extract_path(v)});
   }
 }
 
-/// Head-index-ordered merge of the per-head slices into the two phase-1
-/// outputs. Heads ascend in id, so link order is source-major ascending —
-/// the same order VirtualLinkMap::build produces.
-HeadSweep merge(const Clustering& c, std::vector<PerHead> slots) {
+template void sweep_head(const Graph&, NodeId, Hops, const Clustering*,
+                         std::span<const NodeId>, BfsScratch&, HeadSlice&);
+template void sweep_head(const DynamicGraph&, NodeId, Hops, const Clustering*,
+                         std::span<const NodeId>, BfsScratch&, HeadSlice&);
+
+HeadSweep nc_sweep(const Graph& g, const Clustering& c, Hops horizon,
+                   Workspace& ws, ThreadPool* pool) {
+  KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
+  std::vector<HeadSlice> slots(c.heads.size());
+  for_each_index(c.heads.size(), ws, pool, [&](std::size_t i, Workspace& w) {
+    sweep_head(g, c.heads[i], horizon, &c, {}, w.bfs, slots[i]);
+  });
+
   // Per-head neighbor-head counts measure the density of the head overlay
   // the gateway stage prunes; observational only.
   if (obs::enabled()) {
     obs::Histogram& h =
         obs::Registry::global().histogram("backbone.head_neighbors");
-    for (const PerHead& s : slots) h.record(s.selected.size());
+    for (const HeadSlice& s : slots) h.record(s.selected.size());
   }
+  // Head-index-ordered merge. Heads ascend in id, so link order is
+  // source-major ascending — the order VirtualLinkMap::build_bounded gives.
   HeadSweep r;
   r.sel.rule = NeighborRule::kAllWithin2k1;
   r.sel.selected.resize(c.heads.size());
@@ -70,28 +84,6 @@ HeadSweep merge(const Clustering& c, std::vector<PerHead> slots) {
   r.sel = finalize_selection(std::move(r.sel));
   r.links = VirtualLinkMap::from_links(std::move(links));
   return r;
-}
-
-}  // namespace
-
-HeadSweep nc_sweep(const Graph& g, const Clustering& c, Workspace& ws) {
-  KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
-  const Hops horizon = 2 * c.k + 1;
-  std::vector<PerHead> slots(c.heads.size());
-  for (std::uint32_t i = 0; i < c.heads.size(); ++i) {
-    sweep_one(g, c, c.heads[i], horizon, ws, slots[i]);
-  }
-  return merge(c, std::move(slots));
-}
-
-HeadSweep nc_sweep(const Graph& g, const Clustering& c, ThreadPool& pool) {
-  KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
-  const Hops horizon = 2 * c.k + 1;
-  std::vector<PerHead> slots(c.heads.size());
-  parallel_for_throwing(pool, c.heads.size(), [&](std::size_t i) {
-    sweep_one(g, c, c.heads[i], horizon, tls_workspace(), slots[i]);
-  });
-  return merge(c, std::move(slots));
 }
 
 }  // namespace khop

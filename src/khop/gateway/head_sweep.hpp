@@ -1,27 +1,32 @@
 /// \file head_sweep.hpp
-/// Fused NC head-neighbor discovery + virtual-link extraction: ONE bounded
-/// BFS (horizon 2k+1) per clusterhead serves both phase-1 questions at once.
+/// The one per-head operation of phase 2 (paper sections 3.1-3.2): a
+/// canonical min-id-parent BFS from clusterhead u to depth 2k+1. The heads
+/// it reaches are u's NC neighbor heads, and its BFS tree holds the
+/// canonical virtual link (u, v) to every partner v > u. Every phase-2
+/// producer runs this sweep:
+///  * nc_sweep below: NC discovery plus links, one sweep per head;
+///  * G-MST (gmst.hpp): its head graph and tree paths are nc_sweep's links;
+///  * VirtualLinkMap::build_bounded: links for given pairs (A-NCR, Wu-Lou);
+///  * ChurnEngine: the initial state and every local re-sweep of the
+///    section 3.3 repair, over the mutable DynamicGraph.
 ///
-/// The paper's structure makes this possible: under the NC rule a head's
-/// neighbor heads are exactly the heads inside its 2k+1-hop ball, and the
-/// canonical virtual link for a pair (u, v), u < v, is extracted from the
-/// min-id-parent BFS rooted at u — the very sweep that discovered v. The
-/// pre-PR4 layering ran this as two passes (select_nc: one bounded BFS per
-/// head plus an O(H) all-heads probe; VirtualLinkMap::build: one UNBOUNDED
-/// BFS per source head), making backbone construction ~33x the cost of the
-/// clustering it decorates at n~8000. The fused sweep halves the BFS count,
-/// bounds every sweep, and replaces the O(H^2) probes with an O(|reached|)
-/// scan against the clustering's O(1) head test.
+/// Under the clustering invariant every selected pair lies within 2k+1
+/// hops, so one bounded BFS per head serves both questions: no all-heads
+/// probe and no unbounded per-source BFS.
 ///
-/// Determinism: sweeps are independent per head; the parallel overload fans
-/// them across the pool (per-worker tls_workspace()) and merges results in
-/// head-index order, so the output is bit-identical to the serial overload
-/// for any thread count — and both match the reference two-pass pipeline
+/// Determinism: sweeps are independent per head. The per-head loops run
+/// serially on the caller's workspace or across a pool (each worker on its
+/// tls_workspace()) and merge in head order, so the output is bit-identical
+/// for any thread count — and matches the reference two-pass pipeline
 /// (nbr/reference.hpp + gateway/reference.hpp) exactly.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "khop/cluster/clustering.hpp"
 #include "khop/gateway/virtual_link.hpp"
+#include "khop/graph/bfs_scratch.hpp"
 #include "khop/nbr/neighbor_rules.hpp"
 
 namespace khop {
@@ -29,16 +34,41 @@ namespace khop {
 struct Workspace;
 class ThreadPool;
 
-/// Both phase-1 outputs of one fused pass over the clusterheads.
+/// One head's sweep output.
+struct HeadSlice {
+  /// Partner heads the sweep discovered, ascending (discovery only; a
+  /// sweep over given partners leaves it as the caller set it).
+  std::vector<NodeId> selected;
+  /// Canonical links (u, v) for every partner v > u, ascending in v.
+  std::vector<VirtualLink> links;
+  /// A partner lay beyond the horizon, so the sweep was rerun unbounded.
+  bool fallback = false;
+};
+
+/// Sweeps from \p u over \p g (Graph or DynamicGraph) to \p horizon on
+/// \p bfs. With \p discover, the heads of it that the sweep reaches (u
+/// excluded, read through is_head) become out.selected and are the
+/// partners; without, the partners are \p partners (ascending). Then the
+/// link to every partner v > u is extracted (pairs with v < u belong to v's
+/// sweep, so given partners all below u need no BFS at all). A partner
+/// beyond the horizon reruns the sweep unbounded — both runs agree inside
+/// the horizon, so the paths do not depend on it — and one unreachable even
+/// then throws NotConnected.
+template <typename GraphT>
+void sweep_head(const GraphT& g, NodeId u, Hops horizon,
+                const Clustering* discover, std::span<const NodeId> partners,
+                BfsScratch& bfs, HeadSlice& out);
+
+/// NC selection and links of every head.
 struct HeadSweep {
   NeighborSelection sel;  ///< NC selection (rule kAllWithin2k1)
   VirtualLinkMap links;   ///< canonical links for every pair in sel
 };
 
-/// Serial fused sweep; BFS runs reuse \p ws.
-HeadSweep nc_sweep(const Graph& g, const Clustering& c, Workspace& ws);
-
-/// Parallel fused sweep across \p pool. Bit-identical output.
-HeadSweep nc_sweep(const Graph& g, const Clustering& c, ThreadPool& pool);
+/// Sweeps every head of \p c to \p horizon: 2k+1 is the NC rule, and
+/// kUnreachable joins every pair of heads in a component (G-MST's
+/// complete-graph fallback). Serial on \p ws, or across \p pool.
+HeadSweep nc_sweep(const Graph& g, const Clustering& c, Hops horizon,
+                   Workspace& ws, ThreadPool* pool = nullptr);
 
 }  // namespace khop

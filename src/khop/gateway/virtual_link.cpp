@@ -1,84 +1,14 @@
 #include "khop/gateway/virtual_link.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "khop/common/assert.hpp"
-#include "khop/common/error.hpp"
-#include "khop/runtime/thread_pool.hpp"
+#include "khop/gateway/head_sweep.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
-
-namespace {
-
-/// Normalizes to (min,max), sorts, uniques: the flat-vector replacement for
-/// the old std::map-of-vectors by-source grouping. The sorted vector is
-/// source-major with ascending targets, so equal-source runs ARE the groups.
-std::vector<std::pair<NodeId, NodeId>> normalized_pairs(
-    const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  std::vector<std::pair<NodeId, NodeId>> np;
-  np.reserve(pairs.size());
-  for (const auto& [a, b] : pairs) {
-    KHOP_REQUIRE(a != b, "virtual link endpoints must differ");
-    np.emplace_back(std::min(a, b), std::max(a, b));
-  }
-  std::sort(np.begin(), np.end());
-  np.erase(std::unique(np.begin(), np.end()), np.end());
-  return np;
-}
-
-/// Extracts the links of one source group np[first..last) (all sharing
-/// np[first].first as source) with a single sweep bounded at \p horizon.
-/// If any target lies beyond the horizon the source is rerun unbounded
-/// (identical dist/parent inside the horizon, so identical paths either
-/// way). Returns the number of fallback reruns (0 or 1).
-std::size_t extract_group(const Graph& g,
-                          const std::pair<NodeId, NodeId>* first,
-                          const std::pair<NodeId, NodeId>* last, Hops horizon,
-                          Workspace& ws, std::vector<VirtualLink>& out) {
-  const NodeId src = first->first;
-  ws.bfs.run(g, src, horizon);
-  std::size_t fallbacks = 0;
-  if (horizon != kUnreachable) {
-    bool beyond = false;
-    for (const auto* it = first; it != last; ++it) {
-      beyond = beyond || ws.bfs.dist(it->second) == kUnreachable;
-    }
-    if (beyond) {
-      ws.bfs.run(g, src, kUnreachable);
-      fallbacks = 1;
-    }
-  }
-  for (const auto* it = first; it != last; ++it) {
-    const NodeId dst = it->second;
-    if (ws.bfs.dist(dst) == kUnreachable) {
-      throw NotConnected("virtual link endpoints are disconnected in G");
-    }
-    VirtualLink link;
-    link.u = src;
-    link.v = dst;
-    link.hops = ws.bfs.dist(dst);
-    link.path = ws.bfs.extract_path(dst);
-    out.push_back(std::move(link));
-  }
-  return fallbacks;
-}
-
-/// Half-open [begin, end) runs of equal source in a normalized pair vector.
-std::vector<std::pair<std::size_t, std::size_t>> source_groups(
-    const std::vector<std::pair<NodeId, NodeId>>& np) {
-  std::vector<std::pair<std::size_t, std::size_t>> groups;
-  for (std::size_t i = 0; i < np.size();) {
-    std::size_t j = i + 1;
-    while (j < np.size() && np[j].first == np[i].first) ++j;
-    groups.emplace_back(i, j);
-    i = j;
-  }
-  return groups;
-}
-
-}  // namespace
 
 std::uint64_t VirtualLinkMap::key(NodeId a, NodeId b) noexcept {
   const NodeId lo = std::min(a, b);
@@ -101,58 +31,44 @@ VirtualLinkMap VirtualLinkMap::from_links(std::vector<VirtualLink> links) {
 
 VirtualLinkMap VirtualLinkMap::build_bounded(
     const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    Hops horizon, Workspace& ws) {
-  const auto np = normalized_pairs(pairs);
-  std::vector<VirtualLink> links;
-  links.reserve(np.size());
-  std::size_t fallbacks = 0;
-  for (const auto& [begin, end] : source_groups(np)) {
-    fallbacks +=
-        extract_group(g, np.data() + begin, np.data() + end, horizon, ws,
-                      links);
+    Hops horizon, Workspace& ws, ThreadPool* pool) {
+  // Normalized to (min,max), sorted and unique: source-major with ascending
+  // targets, so each run of one source is that head's partner list.
+  std::vector<std::pair<NodeId, NodeId>> np;
+  np.reserve(pairs.size());
+  for (const auto& [a, b] : pairs) {
+    KHOP_REQUIRE(a != b, "virtual link endpoints must differ");
+    np.emplace_back(std::min(a, b), std::max(a, b));
   }
-  VirtualLinkMap m = from_links(std::move(links));
-  m.bounded_fallbacks_ = fallbacks;
-  return m;
-}
-
-VirtualLinkMap VirtualLinkMap::build_bounded(
-    const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    Hops horizon) {
-  return build_bounded(g, pairs, horizon, tls_workspace());
-}
-
-VirtualLinkMap VirtualLinkMap::build_bounded(
-    const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    Hops horizon, ThreadPool& pool) {
-  const auto np = normalized_pairs(pairs);
-  const auto groups = source_groups(np);
-  std::vector<std::vector<VirtualLink>> slots(groups.size());
-  std::vector<std::size_t> slot_fallbacks(groups.size(), 0);
-  parallel_for_throwing(pool, groups.size(), [&](std::size_t gi) {
-    slot_fallbacks[gi] =
-        extract_group(g, np.data() + groups[gi].first,
-                      np.data() + groups[gi].second, horizon, tls_workspace(),
-                      slots[gi]);
+  std::sort(np.begin(), np.end());
+  np.erase(std::unique(np.begin(), np.end()), np.end());
+  // Source i owns targets [first[i], first[i + 1]).
+  std::vector<NodeId> targets;
+  std::vector<std::size_t> first;
+  targets.reserve(np.size());
+  for (std::size_t i = 0; i < np.size(); ++i) {
+    if (i == 0 || np[i].first != np[i - 1].first) first.push_back(i);
+    targets.push_back(np[i].second);
+  }
+  first.push_back(np.size());
+  std::vector<HeadSlice> slots(first.size() - 1);
+  const std::span<const NodeId> all_targets(targets);
+  for_each_index(slots.size(), ws, pool, [&](std::size_t i, Workspace& w) {
+    sweep_head(g, np[first[i]].first, horizon, nullptr,
+               all_targets.subspan(first[i], first[i + 1] - first[i]), w.bfs,
+               slots[i]);
   });
 
-  // Deterministic merge in ascending source order (== group order).
   std::vector<VirtualLink> links;
   links.reserve(np.size());
   std::size_t fallbacks = 0;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    for (VirtualLink& l : slots[gi]) links.push_back(std::move(l));
-    fallbacks += slot_fallbacks[gi];
+  for (HeadSlice& s : slots) {
+    for (VirtualLink& l : s.links) links.push_back(std::move(l));
+    fallbacks += s.fallback ? 1 : 0;
   }
   VirtualLinkMap m = from_links(std::move(links));
   m.bounded_fallbacks_ = fallbacks;
   return m;
-}
-
-VirtualLinkMap VirtualLinkMap::build(
-    const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    Workspace& ws) {
-  return build_bounded(g, pairs, kUnreachable, ws);
 }
 
 VirtualLinkMap VirtualLinkMap::build(

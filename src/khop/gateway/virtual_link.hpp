@@ -30,40 +30,22 @@ struct VirtualLink {
 /// Canonical-shortest-path store for a set of head pairs.
 class VirtualLinkMap {
  public:
-  /// Builds links for all \p pairs (unordered (min,max) head-id pairs).
-  /// One unbounded BFS per distinct smaller endpoint.
+  /// Builds links for all \p pairs (unordered (min,max) head-id pairs):
+  /// build_bounded at kUnreachable on the calling thread's tls_workspace().
   static VirtualLinkMap build(
       const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
-  /// Workspace variant: the per-source canonical BFS runs reuse \p ws.
-  /// Bit-identical output; the overload above forwards here.
-  static VirtualLinkMap build(
-      const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-      Workspace& ws);
-
-  /// Horizon-bounded build: each per-source sweep stops at \p horizon hops.
-  /// The paper's structure guarantees every selected pair lies within
-  /// 2k+1 hops, so backbone construction passes that bound; a pair whose
-  /// endpoints are farther apart (invariant-violating input) transparently
-  /// reruns its source unbounded, so the output — including the
-  /// NotConnected throw for truly disconnected endpoints — is bit-identical
-  /// to the unbounded build on EVERY input. Pass kUnreachable for an
-  /// unbounded build (what build() does).
+  /// One head sweep (gateway/head_sweep.hpp) per distinct smaller endpoint,
+  /// bounded at \p horizon; serial on \p ws, or across \p pool merged in
+  /// ascending source order (bit-identical for any thread count). The
+  /// paper's structure puts every selected pair within 2k+1 hops, so
+  /// backbone construction passes that bound; a pair whose endpoints are
+  /// farther apart (invariant-violating input) reruns its source unbounded,
+  /// so the output — including the NotConnected throw for truly
+  /// disconnected endpoints — equals the unbounded build on EVERY input.
   static VirtualLinkMap build_bounded(
       const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-      Hops horizon, Workspace& ws);
-
-  static VirtualLinkMap build_bounded(
-      const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-      Hops horizon);
-
-  /// Parallel bounded build: per-source sweeps fan out across \p pool's
-  /// workers (each using its thread's tls_workspace()) and merge in
-  /// ascending source order, so the output is bit-identical to the serial
-  /// overloads for any thread count.
-  static VirtualLinkMap build_bounded(
-      const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-      Hops horizon, ThreadPool& pool);
+      Hops horizon, Workspace& ws, ThreadPool* pool = nullptr);
 
   /// Adopts already-extracted links. \pre each link has u < v; no duplicate
   /// (u,v) keys. Used by the fused NC sweep (gateway/head_sweep.hpp), which

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "khop/common/types.hpp"
@@ -105,5 +106,15 @@ struct Workspace {
 /// for the life of the thread; safe under ThreadPool workers because each
 /// worker sees its own instance.
 Workspace& tls_workspace();
+
+class ThreadPool;
+
+/// Runs body(i, ws) for every i in [0, count): in ascending order on \p ws
+/// when \p pool is null, otherwise across the pool's workers, each on its
+/// own tls_workspace() (parallel_for_throwing, so the exception of the
+/// lowest failing index surfaces, as in the serial loop). Bodies write
+/// per-index slots only, so the result never depends on the pool.
+void for_each_index(std::size_t count, Workspace& ws, ThreadPool* pool,
+                    const std::function<void(std::size_t, Workspace&)>& body);
 
 }  // namespace khop

@@ -96,8 +96,7 @@ TEST(BackboneEquivalence, GmstMatchesReferenceIncludingTree) {
       const Clustering c = khop_clustering(g, k);
       const GmstResult want = reference::gmst_gateways(g, c);
       for (const GmstResult& got :
-           {gmst_gateways(g, c), gmst_gateways(g, c, ws),
-            gmst_gateways(g, c, pool)}) {
+           {gmst_gateways(g, c, ws), gmst_gateways(g, c, ws, &pool)}) {
         ASSERT_EQ(got.tree.size(), want.tree.size());
         for (std::size_t i = 0; i < got.tree.size(); ++i) {
           EXPECT_EQ(got.tree[i].u, want.tree[i].u);
@@ -111,26 +110,68 @@ TEST(BackboneEquivalence, GmstMatchesReferenceIncludingTree) {
   }
 }
 
+TEST(BackboneEquivalence, GmstCompleteGraphFallbackMatchesReference) {
+  // Chain 0-1-...-11 with k = 1 and heads {0, 2, 11}: nodes 3..10 sit
+  // beyond k of head 11, so the 2k+1 = 3 bounded head graph holds only
+  // (0, 2) and does not span. G-MST must fall back to the complete graph
+  // (tree {0-2, 2-11}, gateways 1 and 3..10), serially and across a pool.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v + 1 < 12; ++v) edges.emplace_back(v, v + 1);
+  const Graph g = Graph::from_edges(12, edges);
+  Clustering c;
+  c.k = 1;
+  c.heads = {0, 2, 11};
+  for (NodeId v = 0; v < 12; ++v) {
+    const NodeId h = v <= 1 ? 0 : (v <= 2 ? 2 : 11);
+    c.head_of.push_back(h);
+    c.dist_to_head.push_back(h > v ? h - v : v - h);
+    c.cluster_of.push_back(h == 0 ? 0 : (h == 2 ? 1 : 2));
+  }
+
+  const GmstResult want = reference::gmst_gateways(g, c);
+  ASSERT_EQ(want.kept_links,
+            (std::vector<std::pair<NodeId, NodeId>>{{0, 2}, {2, 11}}));
+  Workspace ws;
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const GmstResult got = gmst_gateways(g, c, ws, p);
+    ASSERT_EQ(got.tree.size(), want.tree.size());
+    for (std::size_t i = 0; i < got.tree.size(); ++i) {
+      EXPECT_EQ(got.tree[i].u, want.tree[i].u);
+      EXPECT_EQ(got.tree[i].v, want.tree[i].v);
+      EXPECT_EQ(got.tree[i].weight, want.tree[i].weight);
+    }
+    EXPECT_EQ(got.kept_links, want.kept_links);
+    EXPECT_EQ(got.gateways, want.gateways);
+  }
+  const Backbone ref = reference::build_backbone(g, c, Pipeline::kGmst);
+  expect_backbone_eq(build_backbone(g, c, Pipeline::kGmst, ws), ref);
+  expect_backbone_eq(build_backbone(g, c, Pipeline::kGmst, pool), ref);
+}
+
 TEST(BackboneEquivalence, FusedSweepMatchesTwoPassSelection) {
   // The fused sweep's NeighborSelection must equal select_neighbors(NC) and
   // its links must equal the stand-alone build over the selection's pairs.
+  // Serially and across a pool.
   Workspace ws;
+  ThreadPool pool(2);
   const Graph g = random_topology(130, 6.0, 450);
   for (Hops k = 1; k <= 3; ++k) {
     const Clustering c = khop_clustering(g, k);
-    const HeadSweep sweep = nc_sweep(g, c, ws);
     const NeighborSelection sel =
         select_neighbors(g, c, NeighborRule::kAllWithin2k1);
-    EXPECT_EQ(sweep.sel.selected, sel.selected);
-    EXPECT_EQ(sweep.sel.head_pairs, sel.head_pairs);
-
     const VirtualLinkMap links = VirtualLinkMap::build(g, sel.head_pairs);
-    ASSERT_EQ(sweep.links.all().size(), links.all().size());
-    for (std::size_t i = 0; i < links.all().size(); ++i) {
-      EXPECT_EQ(sweep.links.all()[i].u, links.all()[i].u);
-      EXPECT_EQ(sweep.links.all()[i].v, links.all()[i].v);
-      EXPECT_EQ(sweep.links.all()[i].hops, links.all()[i].hops);
-      EXPECT_EQ(sweep.links.all()[i].path, links.all()[i].path);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const HeadSweep sweep = nc_sweep(g, c, 2 * k + 1, ws, p);
+      EXPECT_EQ(sweep.sel.selected, sel.selected);
+      EXPECT_EQ(sweep.sel.head_pairs, sel.head_pairs);
+      ASSERT_EQ(sweep.links.all().size(), links.all().size());
+      for (std::size_t i = 0; i < links.all().size(); ++i) {
+        EXPECT_EQ(sweep.links.all()[i].u, links.all()[i].u);
+        EXPECT_EQ(sweep.links.all()[i].v, links.all()[i].v);
+        EXPECT_EQ(sweep.links.all()[i].hops, links.all()[i].hops);
+        EXPECT_EQ(sweep.links.all()[i].path, links.all()[i].path);
+      }
     }
   }
 }

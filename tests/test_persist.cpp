@@ -1,11 +1,13 @@
 // Durability subsystem unit tests: CRC32C vectors, binary codec bounds,
 // WAL segment roundtrip + torn-tail tolerance, snapshot roundtrip + the
 // bit-flip/truncation corruption sweeps (clean error or fallback, never
-// UB — the CI job runs this file under ASan+UBSan), retention, fallback
-// to older generations, publish-watermark continuity, and the committed
-// fixture formats.
+// UB — the CI job runs this file under ASan+UBSan), restore's rejection of
+// link paths outside the graph and of a wrong component count, retention,
+// fallback to older generations, publish-watermark continuity, and the
+// committed fixture formats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -328,6 +330,69 @@ TEST(PersistSnapshot, BitFlipSweepAlwaysCleanError) {
       // clean rejection - the expected outcome
     }
   }
+}
+
+TEST(PersistSnapshot, RestoreRejectsLinkPathNotInGraph) {
+  const Graph g = make_network(4206, 80);
+  ChurnEngine engine(g, 2, Pipeline::kAcLmst);
+  const std::string bytes = persist::encode_snapshot(engine, 0);
+
+  // Swap the first interior node of a multi-hop link for an alive node that
+  // is not adjacent to the link's source: hops and endpoints still match.
+  SnapshotData snap = persist::decode_snapshot(bytes);
+  std::vector<VirtualLink> links = snap.state.links.all();
+  const auto it = std::find_if(links.begin(), links.end(), [](const auto& l) {
+    return l.hops >= 2;
+  });
+  ASSERT_NE(it, links.end());
+  NodeId stranger = 0;
+  while (stranger == it->u || stranger == it->v ||
+         snap.state.graph.has_edge(it->u, stranger)) {
+    ++stranger;
+  }
+  it->path[1] = stranger;
+  snap.state.links = VirtualLinkMap::from_links(std::move(links));
+  EXPECT_THROW(ChurnEngine::restore(std::move(snap.state)), InvalidArgument);
+
+  // A path whose length disagrees with its hop count, and one that does not
+  // end at its head, are rejected too.
+  snap = persist::decode_snapshot(bytes);
+  links = snap.state.links.all();
+  links.front().path.pop_back();
+  snap.state.links = VirtualLinkMap::from_links(std::move(links));
+  EXPECT_THROW(ChurnEngine::restore(std::move(snap.state)), InvalidArgument);
+
+  snap = persist::decode_snapshot(bytes);
+  links = snap.state.links.all();
+  std::reverse(links.front().path.begin(), links.front().path.end());
+  snap.state.links = VirtualLinkMap::from_links(std::move(links));
+  EXPECT_THROW(ChurnEngine::restore(std::move(snap.state)), InvalidArgument);
+
+  // The untouched snapshot still restores.
+  EXPECT_EQ(ChurnEngine::restore(persist::decode_snapshot(bytes).state)
+                .audit(),
+            "");
+}
+
+TEST(PersistSnapshot, RestoreRejectsWrongComponentCount) {
+  const Graph g = make_network(4207, 80);
+  ChurnEngine engine(g, 2, Pipeline::kAcLmst);
+  const ChurnTrace trace = make_trace(g, 120, 5);
+  for (const ChurnEvent& e : trace.events()) engine.apply(e);
+  const std::string bytes = persist::encode_snapshot(engine, 120);
+
+  for (const std::size_t wrong :
+       {std::size_t{0}, engine.num_components() + 1, std::size_t{7}}) {
+    if (wrong == engine.num_components()) continue;
+    SnapshotData snap = persist::decode_snapshot(bytes);
+    snap.state.num_components = wrong;
+    EXPECT_THROW(ChurnEngine::restore(std::move(snap.state)), InvalidArgument)
+        << "num_components = " << wrong;
+  }
+  SnapshotData snap = persist::decode_snapshot(bytes);
+  ChurnEngine restored = ChurnEngine::restore(std::move(snap.state));
+  EXPECT_EQ(restored.num_components(), engine.num_components());
+  EXPECT_EQ(restored.audit(), "");
 }
 
 // ---------------------------------------------------------------------------

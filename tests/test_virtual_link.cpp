@@ -111,9 +111,9 @@ TEST(VirtualLink, EmptyPairsBuildEmptyMap) {
   Workspace ws;
   ThreadPool pool(2);
   for (const VirtualLinkMap& links :
-       {VirtualLinkMap::build(g, {}), VirtualLinkMap::build_bounded(g, {}, 2),
+       {VirtualLinkMap::build(g, {}),
         VirtualLinkMap::build_bounded(g, {}, 2, ws),
-        VirtualLinkMap::build_bounded(g, {}, 2, pool)}) {
+        VirtualLinkMap::build_bounded(g, {}, 2, ws, &pool)}) {
     EXPECT_TRUE(links.all().empty());
     EXPECT_FALSE(links.contains(0, 1));
     EXPECT_EQ(links.bounded_fallbacks(), 0u);
@@ -122,10 +122,12 @@ TEST(VirtualLink, EmptyPairsBuildEmptyMap) {
 
 TEST(VirtualLink, BoundedDuplicatesAndReverseDeduplicated) {
   const Graph g = Graph::from_edges(3, EdgeList{{0, 1}, {1, 2}});
+  Workspace ws;
   ThreadPool pool(2);
-  const auto serial = VirtualLinkMap::build_bounded(g, {{0, 2}, {2, 0}, {0, 2}}, 2);
+  const auto serial =
+      VirtualLinkMap::build_bounded(g, {{0, 2}, {2, 0}, {0, 2}}, 2, ws);
   const auto par =
-      VirtualLinkMap::build_bounded(g, {{0, 2}, {2, 0}, {0, 2}}, 2, pool);
+      VirtualLinkMap::build_bounded(g, {{0, 2}, {2, 0}, {0, 2}}, 2, ws, &pool);
   EXPECT_EQ(serial.all().size(), 1u);
   EXPECT_EQ(par.all().size(), 1u);
 }
@@ -136,7 +138,8 @@ TEST(VirtualLink, BoundedExactlyAtHorizonNeedsNoFallback) {
   // bounded sweep.
   const Graph g = Graph::from_edges(
       6, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
-  const auto links = VirtualLinkMap::build_bounded(g, {{0, 5}}, 5);
+  Workspace ws;
+  const auto links = VirtualLinkMap::build_bounded(g, {{0, 5}}, 5, ws);
   EXPECT_EQ(links.bounded_fallbacks(), 0u);
   EXPECT_EQ(links.link(0, 5).hops, 5u);
   EXPECT_EQ(links.link(0, 5).path, (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
@@ -147,16 +150,20 @@ TEST(VirtualLink, BoundedBeyondHorizonFallsBackUnboundedExactly) {
   // result must be byte-identical to the unbounded build.
   const Graph g = Graph::from_edges(
       6, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
-  const auto bounded = VirtualLinkMap::build_bounded(g, {{0, 5}, {0, 3}}, 4);
+  Workspace ws;
+  const auto bounded =
+      VirtualLinkMap::build_bounded(g, {{0, 5}, {0, 3}}, 4, ws);
   EXPECT_EQ(bounded.bounded_fallbacks(), 1u);
   expect_links_eq(bounded, VirtualLinkMap::build(g, {{0, 5}, {0, 3}}));
 }
 
 TEST(VirtualLink, BoundedDisconnectedEndpointsStillThrow) {
   const Graph g = Graph::from_edges(4, EdgeList{{0, 1}, {2, 3}});
+  Workspace ws;
   ThreadPool pool(2);
-  EXPECT_THROW(VirtualLinkMap::build_bounded(g, {{0, 3}}, 2), NotConnected);
-  EXPECT_THROW(VirtualLinkMap::build_bounded(g, {{0, 3}}, 2, pool),
+  EXPECT_THROW(VirtualLinkMap::build_bounded(g, {{0, 3}}, 2, ws),
+               NotConnected);
+  EXPECT_THROW(VirtualLinkMap::build_bounded(g, {{0, 3}}, 2, ws, &pool),
                NotConnected);
 }
 
@@ -171,15 +178,16 @@ TEST(VirtualLink, BoundedAndParallelMatchUnboundedOnRandomNetworks) {
     for (NodeId v = u + 1; v < 14; v += 2) pairs.emplace_back(u, v);
   }
   const auto want = reference::build_virtual_links(net.graph, pairs);
+  Workspace ws;
   // Unbounded horizon, a generous bound, and a tight bound (with fallback)
   // must all match the reference oracle; so must every thread count.
   for (const Hops horizon : {kUnreachable, Hops{20}, Hops{2}}) {
-    expect_links_eq(VirtualLinkMap::build_bounded(net.graph, pairs, horizon),
-                    want);
+    expect_links_eq(
+        VirtualLinkMap::build_bounded(net.graph, pairs, horizon, ws), want);
     for (const std::size_t threads : {1u, 2u, 0u}) {
       ThreadPool pool(threads);
       expect_links_eq(
-          VirtualLinkMap::build_bounded(net.graph, pairs, horizon, pool),
+          VirtualLinkMap::build_bounded(net.graph, pairs, horizon, ws, &pool),
           want);
     }
   }
