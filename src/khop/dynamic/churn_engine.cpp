@@ -1,6 +1,7 @@
 #include "khop/dynamic/churn_engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "khop/common/assert.hpp"
 #include "khop/dynamic/churn_reference.hpp"
@@ -18,6 +19,11 @@ namespace {
 /// Horizon of the cheap bounded connectivity probe tried before falling
 /// back to a full component walk (partition/merge accounting).
 constexpr Hops kProbeHorizon = 4;
+
+void sort_unique(std::vector<NodeId>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
 
 }  // namespace
 
@@ -75,7 +81,7 @@ ChurnEngine::ChurnEngine(const Graph& g0, Hops k, Pipeline pipeline,
   KHOP_REQUIRE(pipeline != Pipeline::kGmst,
                "a global MST has no local repair scope; use an NC/AC pipeline");
   c_ = khop_clustering(g0, k, AffiliationRule::kIdBased);
-  heads_ = c_.heads;
+  members_.resize(g_.capacity());
   member_pos_.assign(g_.capacity(), 0);
   for (NodeId v = 0; v < g_.capacity(); ++v) {
     auto& list = members_[c_.head_of[v]];
@@ -85,7 +91,9 @@ ChurnEngine::ChurnEngine(const Graph& g0, Hops k, Pipeline pipeline,
   // The initial selections and links come from the same per-head sweep as
   // every later repair; ascending heads append their owned links in
   // source-major order.
-  for (NodeId h : heads_) resweep_one(h);
+  sel_.rule = spec_.neighbor_rule;
+  sel_.selected.resize(c_.heads.size());
+  for (NodeId h : c_.heads) resweep_one(h);
   combine();
 }
 
@@ -118,8 +126,10 @@ ChurnEngine::ChurnEngine(RestoreTag, ChurnEngineRestore r,
 
   // Per-node sanity against the restored topology, then rebuild the member
   // lists (ascending id order; the engine's public behavior never depends on
-  // member list order, see repair_* in this file).
+  // member list order, see repair_* in this file) and the live head list.
+  members_.resize(cap);
   member_pos_.assign(cap, 0);
+  std::vector<NodeId> live_heads;
   for (NodeId v = 0; v < cap; ++v) {
     if (!g_.alive(v)) {
       KHOP_REQUIRE(c_.head_of[v] == kInvalidNode &&
@@ -135,26 +145,21 @@ ChurnEngine::ChurnEngine(RestoreTag, ChurnEngineRestore r,
     auto& list = members_[h];
     member_pos_[v] = static_cast<std::uint32_t>(list.size());
     list.push_back(v);
+    if (h == v) live_heads.push_back(v);
   }
-
-  heads_.clear();
-  for (NodeId v = 0; v < cap; ++v) {
-    if (g_.alive(v) && c_.head_of[v] == v) heads_.push_back(v);
-  }
-  KHOP_REQUIRE(c_.heads == heads_, "restored head list out of sync");
+  KHOP_REQUIRE(c_.heads == live_heads, "restored head list out of sync");
 
   // Selections are symmetric and the link store holds exactly the selected
   // pairs (smaller endpoint first), so sel_ is fully derivable: every head
   // gets an entry (possibly empty), each link feeds both endpoints.
-  for (NodeId h : heads_) sel_[h];
+  sel_.rule = spec_.neighbor_rule;
+  sel_.selected.resize(c_.heads.size());
   for (const VirtualLink& l : links_.all()) {
     KHOP_REQUIRE(l.u < l.v, "restored virtual link endpoints unordered");
-    const auto iu = sel_.find(l.u);
-    const auto iv = sel_.find(l.v);
-    KHOP_REQUIRE(iu != sel_.end() && iv != sel_.end(),
+    KHOP_REQUIRE(l.v < cap && is_live_head(l.u) && is_live_head(l.v),
                  "restored virtual link endpoint is not a live head");
-    iu->second.push_back(l.v);
-    iv->second.push_back(l.u);
+    sel_.selected[head_index(l.u)].push_back(l.v);
+    sel_.selected[head_index(l.v)].push_back(l.u);
     // The link must be a u..v path of the restored graph within the 2k+1
     // horizon (hops is checked first, so hops + 1 cannot wrap). has_edge
     // range-checks both ids, and dead nodes have no edges, so every node of
@@ -167,7 +172,7 @@ ChurnEngine::ChurnEngine(RestoreTag, ChurnEngineRestore r,
                    "restored virtual link path is not a path in the graph");
     }
   }
-  for (auto& [h, list] : sel_) std::sort(list.begin(), list.end());
+  for (auto& list : sel_.selected) std::sort(list.begin(), list.end());
   KHOP_REQUIRE(num_components_ == alive_components(),
                "restored component count does not match the graph");
 
@@ -181,8 +186,14 @@ void ChurnEngine::touch(NodeId v, ChurnEventReport& report) {
   }
 }
 
+std::size_t ChurnEngine::head_index(NodeId h) const {
+  const auto pos = std::lower_bound(c_.heads.begin(), c_.heads.end(), h);
+  KHOP_ASSERT(pos != c_.heads.end() && *pos == h, "not a live head");
+  return static_cast<std::size_t>(pos - c_.heads.begin());
+}
+
 void ChurnEngine::detach_member(NodeId v) {
-  auto& list = members_.at(c_.head_of[v]);
+  auto& list = members_[c_.head_of[v]];
   const std::uint32_t i = member_pos_[v];
   list[i] = list.back();
   member_pos_[list[i]] = i;
@@ -190,7 +201,7 @@ void ChurnEngine::detach_member(NodeId v) {
 }
 
 void ChurnEngine::attach_member(NodeId v, NodeId head, Hops dist) {
-  auto& list = members_.at(head);
+  auto& list = members_[head];
   member_pos_[v] = static_cast<std::uint32_t>(list.size());
   list.push_back(v);
   c_.head_of[v] = head;
@@ -201,8 +212,8 @@ void ChurnEngine::mark_from_seed(NodeId s, bool mark_k) {
   ws_.bfs.run(g_, s, horizon_);
   for (NodeId w : ws_.bfs.reached()) {
     if (c_.head_of[w] != w) continue;  // reached nodes are alive; heads only
-    affected_H_.insert(w);
-    if (mark_k && ws_.bfs.dist(w) <= k_) affected_k_.insert(w);
+    affected_H_.push_back(w);
+    if (mark_k && ws_.bfs.dist(w) <= k_) affected_k_.push_back(w);
   }
 }
 
@@ -213,6 +224,7 @@ std::size_t ChurnEngine::alive_components() const {
 }
 
 bool ChurnEngine::probe_connected(NodeId a, NodeId b) {
+  obs::Span span("churn/components");
   ws_.bfs.run(g_, a, kProbeHorizon);
   if (ws_.bfs.dist(b) != kUnreachable) return true;
   ws_.bfs.run(g_, a, kUnreachable);
@@ -220,6 +232,7 @@ bool ChurnEngine::probe_connected(NodeId a, NodeId b) {
 }
 
 std::size_t ChurnEngine::count_groups(const std::vector<NodeId>& nodes) {
+  obs::Span span("churn/components");
   if (nodes.size() <= 1) return nodes.size();
   // Cheap common case: one bounded probe reaches every node -> one group.
   ws_.bfs.run(g_, nodes.front(), kProbeHorizon);
@@ -244,16 +257,22 @@ std::size_t ChurnEngine::count_groups(const std::vector<NodeId>& nodes) {
 }
 
 void ChurnEngine::drop_dead_head(NodeId h) {
-  const auto it = sel_.find(h);
-  if (it != sel_.end()) {
-    for (NodeId v : it->second) {
-      links_.erase(std::min(h, v), std::max(h, v));
-    }
-    sel_.erase(it);
+  const std::size_t i = head_index(h);
+  for (NodeId v : sel_.selected[i]) {
+    links_.erase(std::min(h, v), std::max(h, v));
   }
-  const auto pos = std::lower_bound(heads_.begin(), heads_.end(), h);
-  KHOP_ASSERT(pos != heads_.end() && *pos == h, "dead head not in heads_");
-  heads_.erase(pos);
+  sel_.selected.erase(sel_.selected.begin() + static_cast<std::ptrdiff_t>(i));
+  c_.heads.erase(c_.heads.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+void ChurnEngine::add_head(NodeId h) {
+  const auto pos = std::lower_bound(c_.heads.begin(), c_.heads.end(), h);
+  sel_.selected.emplace(sel_.selected.begin() + (pos - c_.heads.begin()));
+  c_.heads.insert(pos, h);
+  c_.head_of[h] = h;
+  c_.dist_to_head[h] = 0;
+  member_pos_[h] = 0;
+  members_[h] = {h};
 }
 
 ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
@@ -287,13 +306,16 @@ ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
     case ChurnEventType::kFail: {
       const auto nb = g_.neighbors(e.a);
       former.assign(nb.begin(), nb.end());
+      obs::Span sweeps("churn/seed_sweeps");
       mark_from_seed(e.a, /*mark_k=*/true);
       break;
     }
-    case ChurnEventType::kLinkDown:
+    case ChurnEventType::kLinkDown: {
+      obs::Span sweeps("churn/seed_sweeps");
       mark_from_seed(e.a, /*mark_k=*/true);
       mark_from_seed(e.b, /*mark_k=*/true);
       break;
+    }
     case ChurnEventType::kLinkUp:
       if (!probe_connected(e.a, e.b)) {
         --num_components_;
@@ -335,13 +357,17 @@ ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
         report.component_delta = 1;
       }
       break;
-    case ChurnEventType::kLinkUp:
+    case ChurnEventType::kLinkUp: {
+      obs::Span sweeps("churn/seed_sweeps");
       mark_from_seed(e.a, /*mark_k=*/true);
       mark_from_seed(e.b, /*mark_k=*/true);
       break;
-    case ChurnEventType::kJoin:
+    }
+    case ChurnEventType::kJoin: {
+      obs::Span sweeps("churn/seed_sweeps");
       mark_from_seed(e.a, /*mark_k=*/true);
       break;
+    }
   }
 
   // Membership bookkeeping for the event's own vertex.
@@ -349,8 +375,7 @@ ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
     if (c_.head_of[e.a] == e.a) {
       // A head died: all its members are orphans; retire its selection and
       // owned links (surviving peers re-sweep via the pre-mutation marks).
-      std::vector<NodeId> ms = std::move(members_.at(e.a));
-      members_.erase(e.a);
+      const std::vector<NodeId> ms = std::exchange(members_[e.a], {});
       for (NodeId m : ms) {
         if (m == e.a) continue;
         c_.head_of[m] = kInvalidNode;
@@ -363,8 +388,6 @@ ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
     }
     c_.head_of[e.a] = kInvalidNode;
     c_.dist_to_head[e.a] = kUnreachable;
-    affected_k_.erase(e.a);
-    affected_H_.erase(e.a);
   } else if (e.type == ChurnEventType::kJoin) {
     c_.head_of[e.a] = kInvalidNode;
     c_.dist_to_head[e.a] = kUnreachable;
@@ -396,14 +419,14 @@ ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
 
 void ChurnEngine::repair_distances(std::vector<NodeId>& orphans,
                                    ChurnEventReport& report) {
-  std::vector<NodeId> hs(affected_k_.begin(), affected_k_.end());
-  std::sort(hs.begin(), hs.end());
+  obs::Span span("churn/repair_distances");
+  sort_unique(affected_k_);
   std::vector<NodeId> to_orphan;
-  for (NodeId h : hs) {
+  for (NodeId h : affected_k_) {
     if (!is_live_head(h)) continue;
     ws_.bfs.run(g_, h, k_);
     to_orphan.clear();
-    for (NodeId m : members_.at(h)) {
+    for (NodeId m : members_[h]) {
       if (m == h) continue;
       touch(m, report);
       const Hops d = ws_.bfs.dist(m);
@@ -424,6 +447,7 @@ void ChurnEngine::repair_distances(std::vector<NodeId>& orphans,
 
 void ChurnEngine::repair_affiliations(std::vector<NodeId>& orphans,
                                       ChurnEventReport& report) {
+  obs::Span span("churn/repair_affiliations");
   if (orphans.empty()) return;
   std::sort(orphans.begin(), orphans.end());
   report.orphans = orphans.size();
@@ -452,14 +476,15 @@ void ChurnEngine::repair_affiliations(std::vector<NodeId>& orphans,
 
   // Iterative lowest-id election among the rest (partitioned groups elect
   // independently: the k-bounded sweeps never cross a component boundary).
-  std::unordered_set<NodeId> undecided_set(undecided.begin(), undecided.end());
   while (!undecided.empty()) {
+    undecided_.begin(g_.capacity());
+    for (NodeId u : undecided) undecided_.set(u);
     std::vector<NodeId> winners;
     for (NodeId u : undecided) {
       ws_.bfs.run(g_, u, k_);
       bool wins = true;
       for (NodeId w : ws_.bfs.reached()) {
-        if (w != u && w < u && undecided_set.contains(w)) {
+        if (w < u && undecided_.test(w)) {
           wins = false;
           break;
         }
@@ -467,31 +492,25 @@ void ChurnEngine::repair_affiliations(std::vector<NodeId>& orphans,
       if (wins) winners.push_back(u);
     }
     KHOP_ASSERT(!winners.empty(), "election round produced no winner");
-    const std::unordered_set<NodeId> winner_set(winners.begin(),
-                                                winners.end());
+    winners_.begin(g_.capacity());
     for (NodeId w : winners) {
-      c_.head_of[w] = w;
-      c_.dist_to_head[w] = 0;
-      heads_.insert(std::lower_bound(heads_.begin(), heads_.end(), w), w);
-      member_pos_[w] = 0;
-      members_[w] = {w};
-      undecided_set.erase(w);
+      winners_.set(w);
+      add_head(w);
       ++report.new_heads;
     }
     std::vector<NodeId> next;
     for (NodeId u : undecided) {
-      if (winner_set.contains(u)) continue;
+      if (winners_.test(u)) continue;
       ws_.bfs.run(g_, u, k_);
       NodeId joined = kInvalidNode;
       for (NodeId w : ws_.bfs.reached()) {
-        if (w != u && winner_set.contains(w)) {
+        if (winners_.test(w)) {
           joined = w;
           break;
         }
       }
       if (joined != kInvalidNode) {
         attach_member(u, joined, ws_.bfs.dist(joined));
-        undecided_set.erase(u);
         ++report.reaffiliated;
       } else {
         next.push_back(u);
@@ -506,16 +525,17 @@ void ChurnEngine::repair_affiliations(std::vector<NodeId>& orphans,
 }
 
 void ChurnEngine::resweep_one(NodeId h) {
-  std::vector<NodeId> old_sel = std::move(sel_[h]);  // creates for new heads
+  std::vector<NodeId>& slot = sel_.selected[head_index(h)];
+  const std::vector<NodeId> old_sel = std::move(slot);
   HeadSlice s;
   if (spec_.neighbor_rule == NeighborRule::kAllWithin2k1) {
     // NC discovers its selection in the sweep (head_of marks the live
-    // heads; c_.heads is only refreshed by combine()).
+    // heads).
     sweep_head(g_, h, horizon_, &c_, {}, ws_.bfs, s);
   } else {
     // A-NCR: heads of clusters adjacent to h's cluster. Every witness edge
     // has one endpoint among h's members, so a member edge scan finds all.
-    for (NodeId m : members_.at(h)) {
+    for (NodeId m : members_[h]) {
       for (NodeId y : g_.neighbors(m)) {
         const NodeId h2 = c_.head_of[y];
         if (h2 != h) s.selected.push_back(h2);
@@ -534,13 +554,13 @@ void ChurnEngine::resweep_one(NodeId h) {
       links_.erase(std::min(h, v), std::max(h, v));
     }
   }
-  sel_[h] = std::move(s.selected);
+  slot = std::move(s.selected);
 }
 
 void ChurnEngine::resweep_heads(ChurnEventReport& report) {
-  std::vector<NodeId> hs(affected_H_.begin(), affected_H_.end());
-  std::sort(hs.begin(), hs.end());
-  for (NodeId h : hs) {
+  obs::Span span("churn/resweep");
+  sort_unique(affected_H_);
+  for (NodeId h : affected_H_) {
     if (!is_live_head(h)) continue;
     touch(h, report);
     resweep_one(h);
@@ -549,30 +569,25 @@ void ChurnEngine::resweep_heads(ChurnEventReport& report) {
 }
 
 void ChurnEngine::combine() {
-  c_.heads = heads_;
-  NeighborSelection sel;
-  sel.rule = spec_.neighbor_rule;
-  sel.selected.resize(heads_.size());
-  for (std::uint32_t i = 0; i < heads_.size(); ++i) {
-    const NodeId h = heads_[i];
-    const auto it = sel_.find(h);
-    KHOP_ASSERT(it != sel_.end(), "live head without a selection entry");
-    sel.selected[i] = it->second;
-    for (NodeId v : it->second) {
-      if (v > h) sel.head_pairs.emplace_back(h, v);
-    }
-  }
+  obs::Span span("churn/combine");
   // Ascending heads emitting ascending larger partners: head_pairs comes
   // out sorted + unique, matching finalize_selection's canonical order.
+  sel_.head_pairs.clear();
+  for (std::size_t i = 0; i < c_.heads.size(); ++i) {
+    const NodeId h = c_.heads[i];
+    for (NodeId v : sel_.selected[i]) {
+      if (v > h) sel_.head_pairs.emplace_back(h, v);
+    }
+  }
   backbone_.pipeline = pipeline_;
   backbone_.spec = spec_;
   backbone_.heads = c_.heads;
   if (spec_.gateway == GatewayAlgorithm::kMesh) {
-    MeshResult r = mesh_gateways(c_, sel, links_);
+    MeshResult r = mesh_gateways(c_, sel_, links_);
     backbone_.gateways = std::move(r.gateways);
     backbone_.virtual_links = std::move(r.kept_links);
   } else {
-    LmstResult r = lmst_gateways(c_, sel, links_, spec_.lmst_keep);
+    LmstResult r = lmst_gateways(c_, sel_, links_, spec_.lmst_keep);
     backbone_.gateways = std::move(r.gateways);
     backbone_.virtual_links = std::move(r.kept_links);
   }
@@ -612,13 +627,15 @@ std::string ChurnEngine::audit() {
       return "dead node retains clustering state";
     }
   }
-  if (expect_heads != heads_) return "heads_ out of sync with head_of";
-  if (c_.heads != heads_) return "clustering heads out of sync";
+  if (expect_heads != c_.heads) return "clustering heads out of sync";
 
-  if (members_.size() != heads_.size()) return "member list count mismatch";
+  std::size_t lists = 0;
   std::size_t member_count = 0;
-  for (const auto& [h, list] : members_) {
+  for (NodeId h = 0; h < cap; ++h) {
+    const std::vector<NodeId>& list = members_[h];
+    if (list.empty()) continue;
     if (!is_live_head(h)) return "member list kept for a non-head";
+    ++lists;
     for (std::uint32_t i = 0; i < list.size(); ++i) {
       const NodeId v = list[i];
       if (!g_.alive(v) || c_.head_of[v] != h || member_pos_[v] != i) {
@@ -627,6 +644,7 @@ std::string ChurnEngine::audit() {
     }
     member_count += list.size();
   }
+  if (lists != c_.heads.size()) return "member list count mismatch";
   if (member_count != g_.num_alive()) {
     return "member lists do not partition the alive nodes";
   }
@@ -635,9 +653,9 @@ std::string ChurnEngine::audit() {
   }
 
   // Exact distances + strict domination, against fresh k-bounded BFS.
-  for (NodeId h : heads_) {
+  for (NodeId h : c_.heads) {
     ws_.bfs.run(g_, h, k_);
-    for (NodeId m : members_.at(h)) {
+    for (NodeId m : members_[h]) {
       const Hops d = ws_.bfs.dist(m);
       if (d == kUnreachable) return "member beyond k of its head";
       if (c_.dist_to_head[m] != d) return "stale dist_to_head";
@@ -645,19 +663,22 @@ std::string ChurnEngine::audit() {
   }
 
   // Selection state vs direct recomputation.
-  if (sel_.size() != heads_.size()) return "selection map size mismatch";
+  if (sel_.selected.size() != c_.heads.size()) {
+    return "selection count mismatch";
+  }
   if (spec_.neighbor_rule == NeighborRule::kAllWithin2k1) {
-    for (NodeId h : heads_) {
+    for (std::size_t i = 0; i < c_.heads.size(); ++i) {
+      const NodeId h = c_.heads[i];
       ws_.bfs.run(g_, h, horizon_);
       std::vector<NodeId> want;
       for (NodeId w : ws_.bfs.reached()) {
         if (w != h && c_.head_of[w] == w) want.push_back(w);
       }
       std::sort(want.begin(), want.end());
-      if (sel_.at(h) != want) return "stale NC selection";
+      if (sel_.selected[i] != want) return "stale NC selection";
     }
   } else {
-    std::unordered_map<NodeId, std::vector<NodeId>> want;
+    std::vector<std::vector<NodeId>> want(cap);
     for (NodeId u = 0; u < cap; ++u) {
       for (NodeId v : g_.neighbors(u)) {
         if (u >= v) continue;
@@ -668,19 +689,19 @@ std::string ChurnEngine::audit() {
         want[hv].push_back(hu);
       }
     }
-    for (NodeId h : heads_) {
-      auto& list = want[h];
-      std::sort(list.begin(), list.end());
-      list.erase(std::unique(list.begin(), list.end()), list.end());
-      if (sel_.at(h) != list) return "stale AC selection";
+    for (std::size_t i = 0; i < c_.heads.size(); ++i) {
+      auto& list = want[c_.heads[i]];
+      sort_unique(list);
+      if (sel_.selected[i] != list) return "stale AC selection";
     }
   }
 
   // Virtual links: exactly the selected pairs, each with the canonical
   // bounded shortest path.
   std::size_t pair_count = 0;
-  for (NodeId h : heads_) {
-    for (NodeId v : sel_.at(h)) {
+  for (std::size_t i = 0; i < c_.heads.size(); ++i) {
+    const NodeId h = c_.heads[i];
+    for (NodeId v : sel_.selected[i]) {
       if (v <= h) continue;
       ++pair_count;
       if (!links_.contains(h, v)) return "missing virtual link";

@@ -51,8 +51,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "khop/cluster/clustering.hpp"
@@ -60,6 +58,7 @@
 #include "khop/dynamic/churn_trace.hpp"
 #include "khop/gateway/backbone.hpp"
 #include "khop/graph/dynamic_graph.hpp"
+#include "khop/nbr/neighbor_rules.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
@@ -164,10 +163,10 @@ class ChurnEngine {
   /// every derived structure (member lists, per-head selections from the
   /// symmetric link set, the combined backbone). Validates the clustering
   /// against the restored topology (sizes, strict-ascending live heads,
-  /// per-node head/distance sanity), every link path (from u to v, hops + 1
-  /// nodes, hops <= 2k+1, consecutive nodes adjacent) and the component
-  /// count, and throws InvalidArgument on any violation, so corrupt
-  /// persisted state cannot become a live engine.
+  /// per-node head/distance sanity), every link (both endpoints live heads;
+  /// a path from u to v of hops + 1 nodes, hops <= 2k+1, consecutive nodes
+  /// adjacent) and the component count, and throws InvalidArgument on any
+  /// violation, so corrupt persisted state cannot become a live engine.
   static ChurnEngine restore(ChurnEngineRestore r,
                              ChurnEngineOptions opts = {});
 
@@ -214,13 +213,14 @@ class ChurnEngine {
     return g_.alive(v) && c_.head_of[v] == v;
   }
 
+  std::size_t head_index(NodeId h) const;  ///< h's index in c_.heads
+  void add_head(NodeId h);
   void detach_member(NodeId v);
   void attach_member(NodeId v, NodeId head, Hops dist);
   void mark_from_seed(NodeId s, bool mark_k);
   std::size_t count_groups(const std::vector<NodeId>& nodes);
   std::size_t alive_components() const;
   bool probe_connected(NodeId a, NodeId b);
-  void orphan_node(NodeId v, std::vector<NodeId>& orphans);
   void repair_distances(std::vector<NodeId>& orphans,
                         ChurnEventReport& report);
   void repair_affiliations(std::vector<NodeId>& orphans,
@@ -238,21 +238,29 @@ class ChurnEngine {
   BackboneSpec spec_;
   ChurnEngineOptions opts_;
 
-  Clustering c_;                ///< head_of / dist_to_head / heads live
-  std::vector<NodeId> heads_;   ///< alive heads, ascending (== c_.heads)
-  std::unordered_map<NodeId, std::vector<NodeId>> members_;  ///< head incl.
+  Clustering c_;  ///< head_of / dist_to_head / heads (alive, ascending) live
+  /// Node-indexed member lists: a live head's holds its cluster (itself
+  /// included); every other node's is empty.
+  std::vector<std::vector<NodeId>> members_;
   std::vector<std::uint32_t> member_pos_;  ///< v -> index in its member list
-  std::unordered_map<NodeId, std::vector<NodeId>> sel_;  ///< head -> selected
+  /// Selections aligned with c_.heads (inserted and erased at the head's
+  /// index); combine() hands it to the gateway stage after refreshing
+  /// head_pairs.
+  NeighborSelection sel_;
   VirtualLinkMap links_;
   Backbone backbone_;
   std::size_t num_components_ = 1;
   ChurnStats stats_;
   Workspace ws_;
 
-  // Per-event scratch (cleared in apply()).
-  std::unordered_set<NodeId> affected_k_;
-  std::unordered_set<NodeId> affected_H_;
+  // Per-event scratch (cleared in apply()). The affected-head lists may
+  // repeat a head; each is sorted and deduplicated where it is consumed.
+  std::vector<NodeId> affected_k_;
+  std::vector<NodeId> affected_H_;
   EpochFlags touched_;
+  // Election marks, reopened every round of repair_affiliations.
+  EpochFlags undecided_;
+  EpochFlags winners_;
 };
 
 }  // namespace khop

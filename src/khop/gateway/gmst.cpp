@@ -52,16 +52,7 @@ GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws,
     r.kept_links.emplace_back(std::min(u, v), std::max(u, v));
   }
   std::sort(r.kept_links.begin(), r.kept_links.end());
-  for (const auto& [u, v] : r.kept_links) {
-    const VirtualLink& link = sweep.links.link(u, v);
-    for (std::size_t i = 1; i + 1 < link.path.size(); ++i) {
-      const NodeId w = link.path[i];
-      if (!c.is_head(w)) r.gateways.push_back(w);
-    }
-  }
-  std::sort(r.gateways.begin(), r.gateways.end());
-  r.gateways.erase(std::unique(r.gateways.begin(), r.gateways.end()),
-                   r.gateways.end());
+  r.gateways = link_gateways(c, sweep.links, r.kept_links);
   return r;
 }
 

@@ -1,33 +1,23 @@
 #include "khop/gateway/lmst.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "khop/common/assert.hpp"
 #include "khop/graph/mst.hpp"
 
 namespace khop {
 
-namespace {
-
-/// Set of selected unordered pairs for O(log) membership tests.
-using PairSet = std::set<std::pair<NodeId, NodeId>>;
-
-std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
-  return {std::min(a, b), std::max(a, b)};
-}
-
-}  // namespace
-
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          const VirtualLinkMap& links, LmstKeepRule keep) {
   KHOP_REQUIRE(sel.selected.size() == c.heads.size(),
                "selection does not match clustering");
-  const PairSet pair_set(sel.head_pairs.begin(), sel.head_pairs.end());
+  const auto& pairs = sel.head_pairs;  // sorted and unique by contract
 
-  // Directed keep decisions: (head u, neighbor v) kept by u's local MST.
-  std::set<std::pair<NodeId, NodeId>> kept_directed;
+  // Keep decisions as (min, max) head pairs, one entry per deciding
+  // endpoint: once sorted, a link both endpoints keep appears twice.
+  std::vector<std::pair<NodeId, NodeId>> kept;
+  std::vector<NodeId> local;
+  std::vector<std::vector<WeightedEdge>> adj;
 
   for (std::uint32_t i = 0; i < c.heads.size(); ++i) {
     const NodeId u = c.heads[i];
@@ -37,71 +27,49 @@ LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
     // Local node set {u} ∪ S(u), ascending by head id. Local index order is
     // therefore id order, so comparing local indices == comparing ids, which
     // keeps edge_less's tie-breaking faithful to the paper's id rule.
-    std::vector<NodeId> local_nodes;
-    local_nodes.reserve(nbrs.size() + 1);
-    local_nodes.push_back(u);
-    local_nodes.insert(local_nodes.end(), nbrs.begin(), nbrs.end());
-    std::sort(local_nodes.begin(), local_nodes.end());
-
-    std::map<NodeId, NodeId> local_of;  // head id -> local index
-    for (NodeId li = 0; li < local_nodes.size(); ++li) {
-      local_of[local_nodes[li]] = li;
-    }
+    local.assign(nbrs.begin(), nbrs.end());
+    const auto at_u = std::lower_bound(local.begin(), local.end(), u);
+    const auto u_local = static_cast<NodeId>(at_u - local.begin());
+    local.insert(at_u, u);
 
     // Local virtual-edge adjacency: every selected pair with both endpoints
     // in the local set (u knows these from its neighbors' broadcasts).
-    std::vector<std::vector<WeightedEdge>> adj(local_nodes.size());
-    for (std::size_t a = 0; a < local_nodes.size(); ++a) {
-      for (std::size_t b = a + 1; b < local_nodes.size(); ++b) {
-        const auto p = ordered(local_nodes[a], local_nodes[b]);
-        if (!pair_set.contains(p)) continue;
+    adj.resize(local.size());
+    for (auto& row : adj) row.clear();
+    for (NodeId a = 0; a < local.size(); ++a) {
+      for (NodeId b = a + 1; b < local.size(); ++b) {
+        const std::pair<NodeId, NodeId> p{local[a], local[b]};
+        if (!std::binary_search(pairs.begin(), pairs.end(), p)) continue;
         const Hops w = links.link(p.first, p.second).hops;
-        adj[a].push_back({static_cast<NodeId>(a), static_cast<NodeId>(b), w});
-        adj[b].push_back({static_cast<NodeId>(b), static_cast<NodeId>(a), w});
+        adj[a].push_back({a, b, w});
+        adj[b].push_back({b, a, w});
       }
     }
 
     // The local graph is connected: u has a selected pair with every member
-    // of S(u) by construction.
-    const std::vector<NodeId> parent =
-        prim_mst(local_nodes.size(), adj, local_of.at(u));
-
-    // u keeps exactly the on-tree links incident to itself.
-    const NodeId u_local = local_of.at(u);
-    for (NodeId li = 0; li < local_nodes.size(); ++li) {
+    // of S(u) by construction. The tree is rooted at u, so the on-tree links
+    // incident to u - exactly the ones u keeps - are those to its children.
+    const std::vector<NodeId> parent = prim_mst(local.size(), adj, u_local);
+    for (NodeId li = 0; li < local.size(); ++li) {
       if (parent[li] == u_local) {
-        kept_directed.emplace(u, local_nodes[li]);
-      } else if (li == u_local && parent[li] != kInvalidNode) {
-        kept_directed.emplace(u, local_nodes[parent[li]]);
+        kept.emplace_back(std::min(u, local[li]), std::max(u, local[li]));
       }
     }
   }
 
   // Realize links per the keep rule (union by default, intersection as the
   // stricter LMST G0 ∩ G1 variant).
+  std::sort(kept.begin(), kept.end());
   LmstResult r;
-  std::set<std::pair<NodeId, NodeId>> undirected;
-  for (const auto& [from, to] : kept_directed) {
-    undirected.insert(ordered(from, to));
-  }
-  for (const auto& p : undirected) {
-    const bool fwd = kept_directed.contains({p.first, p.second});
-    const bool rev = kept_directed.contains({p.second, p.first});
-    if (fwd != rev) ++r.asymmetric_links;
-    if (keep == LmstKeepRule::kBothEndpoints && !(fwd && rev)) continue;
-    r.kept_links.push_back(p);
-  }
-
-  for (const auto& [u, v] : r.kept_links) {
-    const VirtualLink& link = links.link(u, v);
-    for (std::size_t i = 1; i + 1 < link.path.size(); ++i) {
-      const NodeId w = link.path[i];
-      if (!c.is_head(w)) r.gateways.push_back(w);
+  for (std::size_t j = 0; j < kept.size();) {
+    const bool both = j + 1 < kept.size() && kept[j + 1] == kept[j];
+    if (!both) ++r.asymmetric_links;
+    if (both || keep == LmstKeepRule::kEitherEndpoint) {
+      r.kept_links.push_back(kept[j]);
     }
+    j += both ? 2 : 1;
   }
-  std::sort(r.gateways.begin(), r.gateways.end());
-  r.gateways.erase(std::unique(r.gateways.begin(), r.gateways.end()),
-                   r.gateways.end());
+  r.gateways = link_gateways(c, links, r.kept_links);
   return r;
 }
 

@@ -5,10 +5,10 @@
 /// extraction (head_sweep.hpp), and optionally fan sweeps across a
 /// ThreadPool; these reference versions keep the original structure — the
 /// std::map-grouped build with one UNBOUNDED BFS per source, and the G-MST
-/// complete virtual graph built from one unbounded allocating BFS per head.
-/// They exist for the bit-exact equivalence suite and as the baseline the
-/// perf-regression harness measures speedups against. Not for production
-/// call sites.
+/// complete virtual graph built from one unbounded allocating BFS per head,
+/// and the std::set/std::map LMSTGA combine. They exist for the bit-exact
+/// equivalence suite and as the baseline the perf-regression harness
+/// measures speedups against. Not for production call sites.
 #pragma once
 
 #include <utility>
@@ -29,10 +29,14 @@ VirtualLinkMap build_virtual_links(
 /// khop::gmst_gateways.
 GmstResult gmst_gateways(const Graph& g, const Clustering& c);
 
+/// Original set/map LMSTGA; output bit-identical to khop::lmst_gateways.
+LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
+                         const VirtualLinkMap& links, LmstKeepRule keep);
+
 /// Phase 2 composed entirely from the reference pieces above plus the
 /// reference neighbor rules (nbr/reference.hpp); output bit-identical to
-/// khop::build_backbone. (Mesh and LMSTGA are pure functions of the
-/// selection and links, unchanged by PR4, and are shared.)
+/// khop::build_backbone. (Mesh, a pure function of the selection and links,
+/// is shared.)
 Backbone build_backbone(const Graph& g, const Clustering& c,
                         const BackboneSpec& spec);
 Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p);

@@ -4,6 +4,7 @@
 #include <span>
 #include <utility>
 
+#include "khop/cluster/clustering.hpp"
 #include "khop/common/assert.hpp"
 #include "khop/gateway/head_sweep.hpp"
 #include "khop/runtime/workspace.hpp"
@@ -107,6 +108,22 @@ bool VirtualLinkMap::erase(NodeId a, NodeId b) {
   }
   links_.pop_back();
   return true;
+}
+
+std::vector<NodeId> link_gateways(
+    const Clustering& c, const VirtualLinkMap& links,
+    const std::vector<std::pair<NodeId, NodeId>>& kept) {
+  std::vector<NodeId> gateways;
+  for (const auto& [u, v] : kept) {
+    const std::vector<NodeId>& path = links.link(u, v).path;
+    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+      if (!c.is_head(path[i])) gateways.push_back(path[i]);
+    }
+  }
+  std::sort(gateways.begin(), gateways.end());
+  gateways.erase(std::unique(gateways.begin(), gateways.end()),
+                 gateways.end());
+  return gateways;
 }
 
 }  // namespace khop

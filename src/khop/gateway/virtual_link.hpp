@@ -17,6 +17,7 @@
 
 namespace khop {
 
+struct Clustering;
 struct Workspace;
 class ThreadPool;
 
@@ -79,5 +80,13 @@ class VirtualLinkMap {
 
   static std::uint64_t key(NodeId a, NodeId b) noexcept;
 };
+
+/// The gateways realizing the \p kept head pairs: the interior nodes of
+/// each pair's canonical link, minus clusterheads (a shortest path may route
+/// through a third head, which is already a backbone node), sorted and
+/// unique. Mesh, LMSTGA and G-MST all end here.
+std::vector<NodeId> link_gateways(
+    const Clustering& c, const VirtualLinkMap& links,
+    const std::vector<std::pair<NodeId, NodeId>>& kept);
 
 }  // namespace khop

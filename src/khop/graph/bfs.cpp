@@ -8,70 +8,48 @@ namespace khop {
 
 namespace {
 
-/// Per-thread scratch backing the allocating convenience signatures, so that
-/// legacy call sites stop paying per-call frontier/mark allocations without
-/// any signature change. Thread-local keeps them safe under parallel_for.
+/// Per-thread scratch backing the allocating signatures, so they pay no
+/// per-call frontier/mark allocations. Thread-local keeps them safe under
+/// parallel_for. Callers on a hot path run a BfsScratch of their own.
 BfsScratch& wrapper_scratch() {
   thread_local BfsScratch ws;
   return ws;
 }
 
+BfsTree bounded_tree(const Graph& g, NodeId source, Hops max_hops) {
+  BfsScratch& ws = wrapper_scratch();
+  ws.run(g, source, max_hops);
+  BfsTree t;
+  t.source = source;
+  t.dist.assign(g.num_nodes(), kUnreachable);
+  t.parent.assign(g.num_nodes(), kInvalidNode);
+  for (NodeId v : ws.reached()) {
+    t.dist[v] = ws.dist(v);
+    t.parent[v] = ws.parent(v);
+  }
+  return t;
+}
+
 }  // namespace
 
-void bfs_into(const Graph& g, NodeId source, BfsScratch& ws, BfsTree& out) {
-  bfs_bounded_into(g, source, kUnreachable, ws, out);
+BfsTree bfs(const Graph& g, NodeId source) {
+  return bounded_tree(g, source, kUnreachable);
 }
 
-void bfs_bounded_into(const Graph& g, NodeId source, Hops max_hops,
-                      BfsScratch& ws, BfsTree& out) {
-  ws.run(g, source, max_hops);
-  out.source = source;
-  out.dist.assign(g.num_nodes(), kUnreachable);
-  out.parent.assign(g.num_nodes(), kInvalidNode);
-  for (NodeId v : ws.reached()) {
-    out.dist[v] = ws.dist(v);
-    out.parent[v] = ws.parent(v);
-  }
+BfsTree bfs_bounded(const Graph& g, NodeId source, Hops max_hops) {
+  return bounded_tree(g, source, max_hops);
 }
 
-void k_hop_neighborhood_into(const Graph& g, NodeId source, Hops k,
-                             BfsScratch& ws, std::vector<NodeId>& out) {
+std::vector<NodeId> k_hop_neighborhood(const Graph& g, NodeId source, Hops k) {
+  BfsScratch& ws = wrapper_scratch();
   ws.run(g, source, k);
-  out.clear();
   // reached() is level-ordered and includes the source; the contract is
   // ascending ids without the source.
+  std::vector<NodeId> out;
   for (NodeId v : ws.reached()) {
     if (v != source) out.push_back(v);
   }
   std::sort(out.begin(), out.end());
-}
-
-void multi_source_bfs_into(const Graph& g, const std::vector<NodeId>& seeds,
-                           BfsScratch& ws, MultiSourceBfs& out) {
-  ws.run_multi(g, seeds);
-  out.dist.assign(g.num_nodes(), kUnreachable);
-  out.owner.assign(g.num_nodes(), kInvalidNode);
-  for (NodeId v : ws.reached()) {
-    out.dist[v] = ws.dist(v);
-    out.owner[v] = ws.owner(v);
-  }
-}
-
-BfsTree bfs(const Graph& g, NodeId source) {
-  BfsTree t;
-  bfs_into(g, source, wrapper_scratch(), t);
-  return t;
-}
-
-BfsTree bfs_bounded(const Graph& g, NodeId source, Hops max_hops) {
-  BfsTree t;
-  bfs_bounded_into(g, source, max_hops, wrapper_scratch(), t);
-  return t;
-}
-
-std::vector<NodeId> k_hop_neighborhood(const Graph& g, NodeId source, Hops k) {
-  std::vector<NodeId> out;
-  k_hop_neighborhood_into(g, source, k, wrapper_scratch(), out);
   return out;
 }
 
@@ -90,19 +68,25 @@ std::vector<NodeId> extract_path(const BfsTree& tree, NodeId target) {
 
 MultiSourceBfs multi_source_bfs(const Graph& g,
                                 const std::vector<NodeId>& seeds) {
+  BfsScratch& ws = wrapper_scratch();
+  ws.run_multi(g, seeds);
   MultiSourceBfs r;
-  multi_source_bfs_into(g, seeds, wrapper_scratch(), r);
+  r.dist.assign(g.num_nodes(), kUnreachable);
+  r.owner.assign(g.num_nodes(), kInvalidNode);
+  for (NodeId v : ws.reached()) {
+    r.dist[v] = ws.dist(v);
+    r.owner[v] = ws.owner(v);
+  }
   return r;
 }
 
 std::vector<std::vector<Hops>> all_pairs_hops(const Graph& g) {
-  std::vector<std::vector<Hops>> d;
-  d.reserve(g.num_nodes());
+  std::vector<std::vector<Hops>> d(g.num_nodes());
   BfsScratch ws;
-  BfsTree t;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    bfs_into(g, u, ws, t);
-    d.push_back(t.dist);
+    ws.run(g, u, kUnreachable);
+    d[u].assign(g.num_nodes(), kUnreachable);
+    for (NodeId v : ws.reached()) d[u][v] = ws.dist(v);
   }
   return d;
 }

@@ -53,27 +53,4 @@ MultiSourceBfs multi_source_bfs(const Graph& g,
 /// graphs (tens of nodes); cost O(n * (n + m)).
 std::vector<std::vector<Hops>> all_pairs_hops(const Graph& g);
 
-// ---------------------------------------------------------------------------
-// Zero-allocation variants. Each *_into overload reuses the caller's scratch
-// (epoch-stamped visited marks, see BfsScratch) and writes the result into a
-// caller-owned output object, reusing its capacity. Outputs are bit-identical
-// to the allocating functions above, which are now thin wrappers over these.
-// ---------------------------------------------------------------------------
-
-/// bfs(g, source) into \p out, reusing \p ws.
-void bfs_into(const Graph& g, NodeId source, BfsScratch& ws, BfsTree& out);
-
-/// bfs_bounded(g, source, max_hops) into \p out, reusing \p ws.
-void bfs_bounded_into(const Graph& g, NodeId source, Hops max_hops,
-                      BfsScratch& ws, BfsTree& out);
-
-/// k_hop_neighborhood(g, source, k) into \p out, reusing \p ws.
-/// Cost O(reached log reached), independent of n.
-void k_hop_neighborhood_into(const Graph& g, NodeId source, Hops k,
-                             BfsScratch& ws, std::vector<NodeId>& out);
-
-/// multi_source_bfs(g, seeds) into \p out, reusing \p ws.
-void multi_source_bfs_into(const Graph& g, const std::vector<NodeId>& seeds,
-                           BfsScratch& ws, MultiSourceBfs& out);
-
 }  // namespace khop

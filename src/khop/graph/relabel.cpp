@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "khop/common/assert.hpp"
-#include "khop/graph/partition.hpp"
 
 namespace khop {
 
@@ -117,10 +116,23 @@ Relabeling sfc_relabeling(const std::vector<Point2>& pts) {
 }
 
 double shard_cut_quality(const Graph& g, std::size_t num_shards) {
-  if (g.num_nodes() == 0) return 0.0;
-  const ShardPlan plan(g, num_shards);
-  return static_cast<double>(plan.num_boundary_nodes()) /
-         static_cast<double>(g.num_nodes());
+  const std::size_t n = g.num_nodes();
+  if (n == 0) return 0.0;
+  KHOP_REQUIRE(num_shards > 0, "shard cut needs at least one shard");
+  // Shard s owns [n*s/S, n*(s+1)/S), the same arithmetic as parallel_for's
+  // static blocks; shards beyond the node count come out empty.
+  std::size_t boundary = 0;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const std::size_t begin = n * s / num_shards;
+    const std::size_t end = n * (s + 1) / num_shards;
+    for (std::size_t v = begin; v < end; ++v) {
+      const auto nbrs = g.neighbors(static_cast<NodeId>(v));
+      boundary += std::any_of(nbrs.begin(), nbrs.end(), [&](NodeId u) {
+        return u < begin || u >= end;
+      }) ? 1 : 0;
+    }
+  }
+  return static_cast<double>(boundary) / static_cast<double>(n);
 }
 
 Graph relabel(const Graph& g, const Relabeling& r) {

@@ -83,7 +83,7 @@ std::vector<PriorityKey> relabel(const std::vector<PriorityKey>& prios,
 
 /// How well \p g's CURRENT id order shards: the fraction of nodes that are
 /// boundary (some neighbor in another shard) when [0, n) is cut into
-/// \p num_shards contiguous ranges (graph/partition.hpp). 0 = every node
+/// \p num_shards contiguous ranges [n*s/S, n*(s+1)/S). 0 = every node
 /// interior, 1 = every node on the cut. On a unit-disk graph a Hilbert
 /// relabeling keeps this near the perimeter/area ratio of the shard tiles,
 /// while a random order drives it toward 1 — the diagnostic for whether an

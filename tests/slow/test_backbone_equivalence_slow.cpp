@@ -2,7 +2,8 @@
 // label): all five paper pipelines, fused serial AND parallel across thread
 // counts {1, 2, hardware}, against the preserved reference pipeline on a
 // four-digit-node topology. This is the acceptance gate for the fused
-// bounded-sweep construction.
+// bounded-sweep construction. LMSTGA is also swept against its set/map
+// oracle over many small networks.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -62,6 +63,44 @@ TEST(BackboneEquivalenceSlow, RepeatedWorkspaceReuseStaysExact) {
       }
     }
   }
+}
+
+TEST(BackboneEquivalenceSlow, LmstMatchesReferenceOnManyNetworks) {
+  // LMSTGA against the set/map oracle over many small networks: NC and AC
+  // at k 1-3, Wu-Lou at k = 1, both keep rules.
+  std::size_t cases = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    for (const std::size_t n : {40u, 100u, 200u}) {
+      for (const double degree : {6.0, 10.0}) {
+        const Graph g = random_topology(n, degree, 7000 + seed);
+        for (Hops k = 1; k <= 3; ++k) {
+          const Clustering c = khop_clustering(g, k);
+          for (const NeighborRule rule :
+               {NeighborRule::kAllWithin2k1, NeighborRule::kAdjacent,
+                NeighborRule::kWuLou25}) {
+            if (rule == NeighborRule::kWuLou25 && k != 1) continue;
+            const NeighborSelection sel = select_neighbors(g, c, rule);
+            const VirtualLinkMap links =
+                VirtualLinkMap::build(g, sel.head_pairs);
+            for (const LmstKeepRule keep : {LmstKeepRule::kEitherEndpoint,
+                                            LmstKeepRule::kBothEndpoints}) {
+              const LmstResult got = lmst_gateways(c, sel, links, keep);
+              const LmstResult want =
+                  reference::lmst_gateways(c, sel, links, keep);
+              ASSERT_EQ(got.kept_links, want.kept_links)
+                  << "seed " << seed << " n " << n << " k " << k;
+              ASSERT_EQ(got.gateways, want.gateways)
+                  << "seed " << seed << " n " << n << " k " << k;
+              ASSERT_EQ(got.asymmetric_links, want.asymmetric_links)
+                  << "seed " << seed << " n " << n << " k " << k;
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 150u * 3u * 2u * 7u * 2u);  // 12600
 }
 
 }  // namespace

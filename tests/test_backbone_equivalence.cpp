@@ -87,6 +87,37 @@ TEST(BackboneEquivalence, LmstIntersectionKeepRuleMatchesReference) {
                      reference::build_backbone(g, c, spec));
 }
 
+TEST(BackboneEquivalence, LmstMatchesReferenceAllRulesAndKeeps) {
+  // LMSTGA straight against the set/map oracle on one selection and link
+  // store, so asymmetric_links is compared too: NC and AC at k 1-3, Wu-Lou
+  // at k = 1, both keep rules.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const double degree : {6.0, 10.0}) {
+      const Graph g = random_topology(60 + 40 * seed, degree, 440 + seed);
+      for (Hops k = 1; k <= 3; ++k) {
+        const Clustering c = khop_clustering(g, k);
+        for (const NeighborRule rule :
+             {NeighborRule::kAllWithin2k1, NeighborRule::kAdjacent,
+              NeighborRule::kWuLou25}) {
+          if (rule == NeighborRule::kWuLou25 && k != 1) continue;
+          const NeighborSelection sel = select_neighbors(g, c, rule);
+          const VirtualLinkMap links = VirtualLinkMap::build(g, sel.head_pairs);
+          for (const LmstKeepRule keep :
+               {LmstKeepRule::kEitherEndpoint, LmstKeepRule::kBothEndpoints}) {
+            const LmstResult got = lmst_gateways(c, sel, links, keep);
+            const LmstResult want =
+                reference::lmst_gateways(c, sel, links, keep);
+            EXPECT_EQ(got.kept_links, want.kept_links) << "seed " << seed;
+            EXPECT_EQ(got.gateways, want.gateways) << "seed " << seed;
+            EXPECT_EQ(got.asymmetric_links, want.asymmetric_links)
+                << "seed " << seed;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BackboneEquivalence, GmstMatchesReferenceIncludingTree) {
   Workspace ws;
   ThreadPool pool(2);

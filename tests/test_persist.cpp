@@ -24,6 +24,7 @@
 #include "khop/dynamic/persist/snapshot.hpp"
 #include "khop/dynamic/persist/store.hpp"
 #include "khop/dynamic/persist/wal.hpp"
+#include "khop/graph/bfs.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/obs/metrics.hpp"
 
@@ -393,6 +394,62 @@ TEST(PersistSnapshot, RestoreRejectsWrongComponentCount) {
   ChurnEngine restored = ChurnEngine::restore(std::move(snap.state));
   EXPECT_EQ(restored.num_components(), engine.num_components());
   EXPECT_EQ(restored.audit(), "");
+}
+
+TEST(PersistSnapshot, RestoreRejectsLinkEndpointNotALiveHead) {
+  const Graph g = make_network(4208, 80);
+  ChurnEngine engine(g, 2, Pipeline::kAcLmst);
+  const ChurnTrace trace = make_trace(g, 120, 9);
+  for (const ChurnEvent& e : trace.events()) engine.apply(e);
+  // The largest id dies, so the snapshot holds a dead node above every
+  // head but the last.
+  const auto last = static_cast<NodeId>(g.num_nodes() - 1);
+  if (engine.graph().alive(last)) {
+    engine.apply({ChurnEventType::kFail, last, kInvalidNode, {}});
+  }
+  const std::string bytes = persist::encode_snapshot(engine, 121);
+
+  // Restores the snapshot with one extra link (u, v) whose path is \p path.
+  const auto restore_with = [&](NodeId u, NodeId v, std::vector<NodeId> path) {
+    SnapshotData snap = persist::decode_snapshot(bytes);
+    std::vector<VirtualLink> links = snap.state.links.all();
+    const auto hops = static_cast<Hops>(path.size() - 1);
+    links.push_back({u, v, hops, std::move(path)});
+    snap.state.links = VirtualLinkMap::from_links(std::move(links));
+    return ChurnEngine::restore(std::move(snap.state));
+  };
+
+  const Clustering& c = engine.clustering();
+  const DynamicGraph& dg = engine.graph();
+  const std::size_t cap = dg.capacity();
+
+  // A plain member of a head with a larger id: the link is a genuine
+  // shortest path of the graph within 2k+1 hops, so only the endpoint
+  // check can reject it.
+  NodeId member = kInvalidNode;
+  for (NodeId v = 0; v < cap && member == kInvalidNode; ++v) {
+    if (dg.alive(v) && c.head_of[v] != v && c.head_of[v] < v) member = v;
+  }
+  ASSERT_NE(member, kInvalidNode);
+  const NodeId head = c.head_of[member];
+  const std::vector<NodeId> member_path =
+      extract_path(bfs(dg.snapshot(), head), member);
+  EXPECT_THROW(restore_with(head, member, member_path), InvalidArgument);
+
+  // A dead node and an id beyond the capacity.
+  ASSERT_FALSE(dg.alive(last));
+  ASSERT_LT(c.heads.front(), last);
+  EXPECT_THROW(restore_with(c.heads.front(), last, {c.heads.front(), last}),
+               InvalidArgument);
+  const auto beyond = static_cast<NodeId>(cap + 3);
+  EXPECT_THROW(
+      restore_with(c.heads.front(), beyond, {c.heads.front(), beyond}),
+      InvalidArgument);
+
+  // The untouched snapshot still restores.
+  EXPECT_EQ(ChurnEngine::restore(persist::decode_snapshot(bytes).state)
+                .audit(),
+            "");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
-// ShardPlan properties: the contiguous ranges partition the id space, the
-// interior/boundary classification and counts match brute force, and the
-// shard_cut_quality diagnostic shows Hilbert order beating random order on
-// jittered-grid unit-disk graphs (the thin-cut property that keeps the
-// simulator's cross-range traffic small).
+// shard_cut_quality properties: its contiguous ranges partition the id
+// space, its boundary count matches brute force, and it shows Hilbert order
+// beating random order on jittered-grid unit-disk graphs (the thin-cut
+// property that keeps the simulator's cross-range traffic small).
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "khop/common/rng.hpp"
-#include "khop/graph/partition.hpp"
 #include "khop/graph/relabel.hpp"
 #include "khop/graph/spatial_grid.hpp"
 #include "khop/net/generator.hpp"
@@ -25,80 +23,68 @@ Graph random_topology(std::size_t n, double degree, std::uint64_t seed) {
   return generate_network(gen, rng).graph;
 }
 
-TEST(ShardPlan, RangesPartitionTheIdSpace) {
-  const Graph g = random_topology(97, 5.0, 901);
-  for (const std::size_t shards : {1u, 2u, 3u, 8u, 13u}) {
-    const ShardPlan plan(g, shards);
-    ASSERT_EQ(plan.num_shards(), shards);
-    ASSERT_EQ(plan.num_nodes(), g.num_nodes());
+Graph path_graph(std::size_t n) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  return Graph::from_edges(n, edges);
+}
 
-    NodeId expect_begin = 0;
+/// Brute-force boundary fraction: shard s owns [n*s/S, n*(s+1)/S), and a
+/// node is boundary iff some neighbor has another owner.
+double brute_force_cut(const Graph& g, std::size_t shards) {
+  const std::size_t n = g.num_nodes();
+  std::vector<std::size_t> owner(n);
+  for (std::size_t v = 0; v < n; ++v) {
     for (std::size_t s = 0; s < shards; ++s) {
-      const ShardRange& r = plan.shard(s);
-      EXPECT_EQ(r.begin, expect_begin) << "shard " << s;
-      EXPECT_LE(r.begin, r.end);
-      expect_begin = r.end;
-      // Near-equal cut: sizes differ by at most one.
-      EXPECT_LE(r.size(), g.num_nodes() / shards + 1);
-      for (NodeId v = r.begin; v < r.end; ++v) {
-        EXPECT_EQ(plan.shard_of(v), s);
-      }
+      if (n * s / shards <= v && v < n * (s + 1) / shards) owner[v] = s;
     }
-    EXPECT_EQ(expect_begin, g.num_nodes());
+  }
+  std::size_t boundary = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    bool crossing = false;
+    for (NodeId u : g.neighbors(v)) crossing |= owner[u] != owner[v];
+    boundary += crossing ? 1 : 0;
+  }
+  return static_cast<double>(boundary) / static_cast<double>(n);
+}
+
+TEST(ShardPlan, RangesPartitionTheIdSpace) {
+  // On a path, S contiguous non-empty ranges cut S - 1 edges, and each cut
+  // makes both of its endpoints boundary: exactly 2(S - 1) boundary nodes.
+  // Ranges that overlapped, left a gap or were not contiguous would show.
+  const Graph g = path_graph(97);
+  for (const std::size_t shards : {1u, 2u, 3u, 8u, 13u}) {
+    EXPECT_DOUBLE_EQ(shard_cut_quality(g, shards),
+                     2.0 * static_cast<double>(shards - 1) / 97.0)
+        << "shards " << shards;
+  }
+  const Graph r = random_topology(97, 5.0, 901);
+  for (const std::size_t shards : {1u, 2u, 3u, 8u, 13u}) {
+    EXPECT_DOUBLE_EQ(shard_cut_quality(r, shards), brute_force_cut(r, shards))
+        << "shards " << shards;
   }
 }
 
 TEST(ShardPlan, SurplusShardsAreEmpty) {
+  // 9 shards over 5 nodes: 5 singleton ranges, 4 empty ones. On a path
+  // every node then has a neighbor in another range.
+  EXPECT_DOUBLE_EQ(shard_cut_quality(path_graph(5), 9), 1.0);
   const Graph g = random_topology(5, 2.0, 902);
-  const ShardPlan plan(g, 9);
-  std::size_t covered = 0;
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    covered += plan.shard(s).size();
-    EXPECT_DOUBLE_EQ(plan.shard(s).size() == 0 ? 0.0
-                                               : plan.boundary_fraction(s),
-                     plan.boundary_fraction(s));
-  }
-  EXPECT_EQ(covered, g.num_nodes());
+  EXPECT_DOUBLE_EQ(shard_cut_quality(g, 9), brute_force_cut(g, 9));
 }
 
 TEST(ShardPlan, BoundaryMatchesBruteForce) {
   const Graph g = random_topology(84, 6.0, 903);
   for (const std::size_t shards : {2u, 3u, 5u, 8u}) {
-    const ShardPlan plan(g, shards);
-
-    std::size_t boundary_total = 0;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      bool crossing = false;
-      for (NodeId u : g.neighbors(v)) {
-        crossing |= plan.shard_of(u) != plan.shard_of(v);
-      }
-      EXPECT_EQ(plan.is_boundary(v), crossing) << "node " << v;
-      boundary_total += crossing ? 1 : 0;
-    }
-    EXPECT_EQ(plan.num_boundary_nodes(), boundary_total);
-
-    for (std::size_t s = 0; s < shards; ++s) {
-      const ShardRange& r = plan.shard(s);
-      std::vector<NodeId> want_boundary;
-      for (NodeId v = r.begin; v < r.end; ++v) {
-        if (plan.is_boundary(v)) want_boundary.push_back(v);
-      }
-      EXPECT_EQ(r.num_boundary, want_boundary.size()) << "shard " << s;
-      if (r.size() > 0) {
-        EXPECT_DOUBLE_EQ(plan.boundary_fraction(s),
-                         static_cast<double>(want_boundary.size()) /
-                             static_cast<double>(r.size()));
-      }
-    }
+    EXPECT_DOUBLE_EQ(shard_cut_quality(g, shards), brute_force_cut(g, shards))
+        << "shards " << shards;
   }
 }
 
 TEST(ShardPlan, SingleShardHasNoBoundary) {
   const Graph g = random_topology(50, 5.0, 904);
-  const ShardPlan plan(g, 1);
-  EXPECT_EQ(plan.num_boundary_nodes(), 0u);
-  EXPECT_DOUBLE_EQ(plan.boundary_fraction(0), 0.0);
   EXPECT_DOUBLE_EQ(shard_cut_quality(g, 1), 0.0);
+  EXPECT_DOUBLE_EQ(brute_force_cut(g, 1), 0.0);
 }
 
 TEST(ShardCutQuality, HilbertOrderBeatsRandomOrderOnJitteredGrid) {

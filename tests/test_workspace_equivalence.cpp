@@ -1,9 +1,11 @@
 // Bit-exact equivalence suite for the zero-allocation workspace subsystem:
-// every *_into / Workspace& overload must reproduce the preserved reference
-// (allocating) implementations exactly, on random topologies, including
-// across repeated reuse of one workspace and across run_trials thread counts.
+// a reused BfsScratch and every Workspace& overload must reproduce the
+// preserved reference (allocating) implementations exactly, on random
+// topologies, including across repeated reuse of one workspace and across
+// run_trials thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -14,6 +16,7 @@
 #include "khop/gateway/backbone.hpp"
 #include "khop/graph/bfs.hpp"
 #include "khop/graph/bfs_reference.hpp"
+#include "khop/graph/bfs_scratch.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/workspace.hpp"
 #include "khop/sim/engine.hpp"
@@ -35,41 +38,69 @@ void expect_tree_eq(const BfsTree& got, const BfsTree& want) {
   EXPECT_EQ(got.parent, want.parent);
 }
 
+/// The dense tree of \p ws's last run, from \p source over \p g.
+BfsTree tree_of(const BfsScratch& ws, const Graph& g, NodeId source) {
+  BfsTree t;
+  t.source = source;
+  t.dist.assign(g.num_nodes(), kUnreachable);
+  t.parent.assign(g.num_nodes(), kInvalidNode);
+  for (NodeId v : ws.reached()) {
+    t.dist[v] = ws.dist(v);
+    t.parent[v] = ws.parent(v);
+  }
+  return t;
+}
+
+/// The dense multi-source result of \p ws's last run_multi over \p g.
+void expect_multi_eq(const BfsScratch& ws, const Graph& g,
+                     const MultiSourceBfs& want) {
+  std::vector<Hops> dist(g.num_nodes(), kUnreachable);
+  std::vector<NodeId> owner(g.num_nodes(), kInvalidNode);
+  for (NodeId v : ws.reached()) {
+    dist[v] = ws.dist(v);
+    owner[v] = ws.owner(v);
+  }
+  EXPECT_EQ(dist, want.dist);
+  EXPECT_EQ(owner, want.owner);
+}
+
 // --- Graph layer -----------------------------------------------------------
 
 TEST(WorkspaceEquivalence, BfsIntoMatchesReferenceAcrossReuse) {
   BfsScratch ws;
-  BfsTree tree;
-  // One scratch and one output object reused across graphs of different
-  // sizes and across sources: every run must still be exact.
+  // One scratch reused across graphs of different sizes and across
+  // sources: every run must still be exact.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Graph g = random_topology(40 + 17 * seed, 5.0, seed);
     for (NodeId s = 0; s < g.num_nodes(); s += 3) {
-      bfs_into(g, s, ws, tree);
-      expect_tree_eq(tree, reference::bfs(g, s));
+      ws.run(g, s, kUnreachable);
+      expect_tree_eq(tree_of(ws, g, s), reference::bfs(g, s));
     }
   }
 }
 
 TEST(WorkspaceEquivalence, BoundedBfsIntoMatchesReference) {
   BfsScratch ws;
-  BfsTree tree;
   const Graph g = random_topology(90, 6.0, 7);
   for (Hops k = 0; k <= 4; ++k) {
     for (NodeId s = 0; s < g.num_nodes(); s += 5) {
-      bfs_bounded_into(g, s, k, ws, tree);
-      expect_tree_eq(tree, reference::bfs_bounded(g, s, k));
+      ws.run(g, s, k);
+      expect_tree_eq(tree_of(ws, g, s), reference::bfs_bounded(g, s, k));
     }
   }
 }
 
 TEST(WorkspaceEquivalence, KHopNeighborhoodIntoMatchesReference) {
   BfsScratch ws;
-  std::vector<NodeId> nbrs;
   const Graph g = random_topology(80, 6.0, 11);
   for (Hops k = 1; k <= 3; ++k) {
     for (NodeId s = 0; s < g.num_nodes(); s += 7) {
-      k_hop_neighborhood_into(g, s, k, ws, nbrs);
+      ws.run(g, s, k);
+      std::vector<NodeId> nbrs;
+      for (NodeId v : ws.reached()) {
+        if (v != s) nbrs.push_back(v);
+      }
+      std::sort(nbrs.begin(), nbrs.end());
       EXPECT_EQ(nbrs, reference::k_hop_neighborhood(g, s, k));
     }
   }
@@ -77,15 +108,12 @@ TEST(WorkspaceEquivalence, KHopNeighborhoodIntoMatchesReference) {
 
 TEST(WorkspaceEquivalence, MultiSourceBfsIntoMatchesReference) {
   BfsScratch ws;
-  MultiSourceBfs got;
   const Graph g = random_topology(100, 6.0, 13);
   const std::vector<std::vector<NodeId>> seed_sets = {
       {0}, {0, 1, 2}, {5, 40, 77}, {99, 98, 0, 51}};
   for (const auto& seeds : seed_sets) {
-    multi_source_bfs_into(g, seeds, ws, got);
-    const MultiSourceBfs want = reference::multi_source_bfs(g, seeds);
-    EXPECT_EQ(got.dist, want.dist);
-    EXPECT_EQ(got.owner, want.owner);
+    ws.run_multi(g, seeds);
+    expect_multi_eq(ws, g, reference::multi_source_bfs(g, seeds));
   }
 }
 
@@ -112,14 +140,13 @@ TEST(WorkspaceEquivalence, DenseFrontierBottomUpMatchesReference) {
   Rng rng(23);
   const Graph g = generate_network(gen, rng).graph;
   BfsScratch ws;
-  BfsTree tree;
   for (NodeId s = 0; s < g.num_nodes(); s += 37) {
     for (Hops k = 1; k <= 4; ++k) {
-      bfs_bounded_into(g, s, k, ws, tree);
-      expect_tree_eq(tree, reference::bfs_bounded(g, s, k));
+      ws.run(g, s, k);
+      expect_tree_eq(tree_of(ws, g, s), reference::bfs_bounded(g, s, k));
     }
-    bfs_into(g, s, ws, tree);
-    expect_tree_eq(tree, reference::bfs(g, s));
+    ws.run(g, s, kUnreachable);
+    expect_tree_eq(tree_of(ws, g, s), reference::bfs(g, s));
   }
 }
 
@@ -129,21 +156,18 @@ TEST(WorkspaceEquivalence, ByteEpochStampsSurviveWrap) {
   // a mid-stream graph-size change to exercise stamp growth at a non-zero
   // epoch, checking every run against the oracle.
   BfsScratch ws;
-  BfsTree tree;
   const Graph small = random_topology(60, 5.0, 29);
   const Graph large = random_topology(150, 6.0, 31);
   for (int iter = 0; iter < 600; ++iter) {
     const Graph& g = (iter >= 300 && iter < 420) ? large : small;
     const NodeId s = static_cast<NodeId>(iter) % g.num_nodes();
-    bfs_bounded_into(g, s, 2, ws, tree);
-    expect_tree_eq(tree, reference::bfs_bounded(g, s, 2));
+    ws.run(g, s, 2);
+    expect_tree_eq(tree_of(ws, g, s), reference::bfs_bounded(g, s, 2));
   }
   // Multi-source reuses the same stamps right after the wrap region.
-  MultiSourceBfs got;
-  multi_source_bfs_into(small, {0, 17, 58}, ws, got);
-  const MultiSourceBfs want = reference::multi_source_bfs(small, {0, 17, 58});
-  EXPECT_EQ(got.dist, want.dist);
-  EXPECT_EQ(got.owner, want.owner);
+  const std::vector<NodeId> seeds = {0, 17, 58};
+  ws.run_multi(small, seeds);
+  expect_multi_eq(ws, small, reference::multi_source_bfs(small, seeds));
 }
 
 // --- Cluster layer ---------------------------------------------------------
