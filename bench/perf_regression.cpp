@@ -9,9 +9,9 @@
 /// Backbone kernels (PR 4): every paper pipeline is timed as `legacy` (the
 /// preserved reference two-pass construction: per-head all-heads probes +
 /// unbounded per-source BFS link build) vs `workspace` (fused bounded
-/// sweeps); the AC-LMST trajectory kernel (`backbone`) additionally gets a
-/// `parallel` variant running the same sweeps across a hardware ThreadPool.
-/// Matching checksums across variants double-check bit-exactness.
+/// sweeps). Matching checksums across variants double-check bit-exactness.
+/// (Earlier trajectories also carry `parallel` rows: the same sweeps across
+/// a ThreadPool, removed because they never beat serial.)
 ///
 /// Engine kernels (PR 5): `engine_flood` is timed as `legacy` (the preserved
 /// pre-PR5 engine: one flat O(M log M) sort over all in-flight messages per
@@ -23,8 +23,7 @@
 /// Million-node kernels (PR 8):
 ///  * `generation` — unit-disk topology build from fixed positions: `legacy`
 ///    (preserved edge-pair-vector reference, graph/spatial_grid.cpp) vs
-///    `workspace` (streamed grid-sharded CSR build, no edge intermediate) vs
-///    `parallel` (the streamed build with per-tile ThreadPool fill).
+///    `workspace` (streamed one-pass CSR build, no edge intermediate).
 ///  * `bounded_bfs` gains an `sfc` variant: the same all-sources sweep on
 ///    the Hilbert-relabeled graph. The probe sum is iteration-order
 ///    invariant, so its checksum must equal the workspace variant's —
@@ -186,8 +185,7 @@ bool benched_at_big_n(Pipeline p) {
 /// variant's locality for free — shuffled ids reproduce the id/placement
 /// independence of the small-n uniform generator.
 AdHocNetwork make_big_topology(std::size_t n, double degree,
-                               std::uint64_t seed, Workspace& ws,
-                               ThreadPool& pool) {
+                               std::uint64_t seed, Workspace& ws) {
   AdHocNetwork net;
   const std::size_t cols =
       static_cast<std::size_t>(std::ceil(std::sqrt(static_cast<double>(n))));
@@ -210,8 +208,7 @@ AdHocNetwork make_big_topology(std::size_t n, double degree,
   double radius = std::sqrt((degree + 1.0) / 3.14159265358979323846);
   for (std::size_t attempt = 0;; ++attempt) {
     KHOP_REQUIRE(attempt < 32, "big topology never became connected");
-    net.graph = build_unit_disk_graph_streamed(net.positions, radius,
-                                               ws.grid, &pool);
+    net.graph = build_unit_disk_graph_streamed(net.positions, radius, ws.grid);
     ws.bfs.run(net.graph, 0, kUnreachable);
     if (ws.bfs.reached().size() == n) break;
     radius *= 1.05;
@@ -234,7 +231,7 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
   // at bench scales, the seeded jittered grid above it.
   AdHocNetwork net;
   if (big) {
-    net = make_big_topology(n, opt.degree, opt.seed + n, ws, pool);
+    net = make_big_topology(n, opt.degree, opt.seed + n, ws);
   } else {
     ExperimentConfig cal;
     cal.num_nodes = n;
@@ -284,10 +281,6 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
   h.time_kernel("generation", "workspace", n, k, [&] {
     return generation_checksum(
         build_unit_disk_graph_streamed(net.positions, net.radius, ws.grid));
-  });
-  h.time_kernel("generation", "parallel", n, k, [&] {
-    return generation_checksum(build_unit_disk_graph_streamed(
-        net.positions, net.radius, ws.grid, &pool));
   });
 
   // Kernel 1: bounded BFS from every source. The sfc variant runs the same
@@ -377,8 +370,7 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
 
   // Kernel 3: phase-2 backbone build over a fixed clustering, one kernel
   // per paper pipeline, legacy (reference two-pass) vs workspace (fused
-  // bounded sweeps) vs parallel (AC-LMST at bench scales; every retained
-  // pipeline at n >= kBigN, where legacy is skipped).
+  // bounded sweeps); legacy is skipped at n >= kBigN.
   const Clustering c =
       khop_clustering(g, k, priorities, AffiliationRule::kIdBased, ws);
   const auto backbone_checksum = [](const Backbone& b) {
@@ -396,11 +388,6 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
     h.time_kernel(pk.name, "workspace", n, k, [&] {
       return backbone_checksum(build_backbone(g, c, pk.pipeline, ws));
     });
-    if (pk.pipeline == Pipeline::kAcLmst || big) {
-      h.time_kernel(pk.name, "parallel", n, k, [&] {
-        return backbone_checksum(build_backbone(g, c, pk.pipeline, pool));
-      });
-    }
   }
 
   // Kernel 4: engine flood - k-hop neighborhood discovery by bounded
@@ -514,7 +501,7 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
 int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
   bench::Harness harness("PR10", {opt.min_reps, opt.min_seconds});
-  ThreadPool pool;  // hardware concurrency, for the parallel variants
+  ThreadPool pool;  // hardware concurrency, for the pooled engine rows
 
   std::vector<std::size_t> benched;
   for (std::size_t n : opt.sizes) {

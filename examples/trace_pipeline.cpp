@@ -99,13 +99,13 @@ int main(int argc, char** argv) {
   std::cout << "network: n=" << g.num_nodes() << " m=" << g.num_edges()
             << " k=" << opt.k << "\n";
 
-  // Static pipeline: clustering -> backbone (parallel sweep) -> flood.
+  // Static pipeline: clustering -> backbone -> flood (on the pool).
   ThreadPool pool(opt.threads);
   Workspace ws;
   const auto priorities = make_priorities(g, PriorityRule::kLowestId);
   const Clustering c =
       khop_clustering(g, opt.k, priorities, AffiliationRule::kIdBased, ws);
-  const Backbone b = build_backbone(g, c, Pipeline::kNcLmst, pool);
+  const Backbone b = build_backbone(g, c, Pipeline::kNcLmst, ws);
   std::cout << "clustering: " << c.heads.size() << " heads in "
             << c.election_rounds << " rounds; backbone: "
             << b.gateways.size() << " gateways, " << b.virtual_links.size()

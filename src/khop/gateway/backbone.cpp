@@ -76,12 +76,8 @@ std::vector<NodeRole> Backbone::roles(std::size_t n) const {
   return r;
 }
 
-namespace {
-
-/// The sweeps run serially on \p ws, or across \p pool when it is set.
-Backbone build_backbone_impl(const Graph& g, const Clustering& c,
-                             const BackboneSpec& spec, Workspace& ws,
-                             ThreadPool* pool) {
+Backbone build_backbone(const Graph& g, const Clustering& c,
+                        const BackboneSpec& spec, Workspace& ws) {
   obs::Span span("backbone/build");
   span.arg("heads", static_cast<std::int64_t>(c.heads.size()));
 
@@ -91,7 +87,7 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
 
   if (spec.gateway == GatewayAlgorithm::kGmst) {
     obs::Span gw_span("backbone/gmst");
-    GmstResult r = gmst_gateways(g, c, ws, pool);
+    GmstResult r = gmst_gateways(g, c, ws);
     b.gateways = std::move(r.gateways);
     b.virtual_links = std::move(r.kept_links);
     span.arg("gateways", static_cast<std::int64_t>(b.gateways.size()));
@@ -105,7 +101,7 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
     // NC: one sweep per head discovers neighbor heads AND extracts their
     // virtual links (no separate per-source BFS pass at all).
     obs::Span sweep_span("backbone/head_sweep");
-    HeadSweep sweep = nc_sweep(g, c, horizon, ws, pool);
+    HeadSweep sweep = nc_sweep(g, c, horizon, ws);
     sel = std::move(sweep.sel);
     links = std::move(sweep.links);
     sweep_span.arg("head_pairs", static_cast<std::int64_t>(sel.head_pairs.size()));
@@ -117,8 +113,7 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
     sel = select_neighbors(g, c, spec.neighbor_rule, ws);
     sel_span.arg("head_pairs", static_cast<std::int64_t>(sel.head_pairs.size()));
     obs::Span links_span("backbone/extract_links");
-    links =
-        VirtualLinkMap::build_bounded(g, sel.head_pairs, horizon, ws, pool);
+    links = VirtualLinkMap::build_bounded(g, sel.head_pairs, horizon, ws);
   }
 
   {
@@ -139,18 +134,6 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
   return b;
 }
 
-}  // namespace
-
-Backbone build_backbone(const Graph& g, const Clustering& c,
-                        const BackboneSpec& spec, Workspace& ws) {
-  return build_backbone_impl(g, c, spec, ws, nullptr);
-}
-
-Backbone build_backbone(const Graph& g, const Clustering& c,
-                        const BackboneSpec& spec, ThreadPool& pool) {
-  return build_backbone_impl(g, c, spec, tls_workspace(), &pool);
-}
-
 Backbone build_backbone(const Graph& g, const Clustering& c,
                         const BackboneSpec& spec) {
   return build_backbone(g, c, spec, tls_workspace());
@@ -164,10 +147,8 @@ Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
 }
 
 Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
-                        ThreadPool& pool) {
-  Backbone b = build_backbone(g, c, spec_for(p), pool);
-  b.pipeline = p;
-  return b;
+                        ThreadPool&) {
+  return build_backbone(g, c, p);
 }
 
 Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p) {

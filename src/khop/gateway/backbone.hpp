@@ -1,6 +1,7 @@
 /// \file backbone.hpp
 /// Assembly of the full connected k-hop clustering backbone and the five
-/// pipelines compared in the paper's evaluation.
+/// pipelines compared in the paper's evaluation. Phase 2 is single-threaded:
+/// its per-head sweeps run one after another on the caller's Workspace.
 #pragma once
 
 #include <cstdint>
@@ -82,27 +83,26 @@ Backbone build_backbone(const Graph& g, const Clustering& c,
                         const BackboneSpec& spec);
 
 struct Workspace;
-class ThreadPool;
 
 /// Workspace variants: neighbor selection and virtual-link BFS runs reuse
 /// \p ws. Bit-identical output; the overloads above forward here.
 ///
 /// All per-head BFS work is bounded to the paper's 2k+1 structural horizon,
 /// and the NC rule runs as ONE fused sweep per head (discovery + link
-/// extraction, see gateway/head_sweep.hpp).
+/// extraction, see gateway/head_sweep.hpp). The per-head sweeps are
+/// independent and run one after another on \p ws, in head order.
 Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
                         Workspace& ws);
 Backbone build_backbone(const Graph& g, const Clustering& c,
                         const BackboneSpec& spec, Workspace& ws);
 
-/// Parallel variants: the per-head sweeps (NC and G-MST discovery + link
-/// extraction, AC link extraction) fan out across \p pool; each worker uses
-/// its thread's tls_workspace() and results merge in head-index order, so
-/// the output is bit-identical to the serial overloads for any thread
-/// count. Both forms run one body; the sweeps take an optional pool.
+class ThreadPool;
+
+/// Deprecated forward to the serial build on the calling thread's
+/// tls_workspace(); the pool is ignored. It exists only for perfbench/,
+/// until perfbench/ moves its calls to the Workspace form.
+[[deprecated("phase 2 is serial; use the Workspace overload")]]
 Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
                         ThreadPool& pool);
-Backbone build_backbone(const Graph& g, const Clustering& c,
-                        const BackboneSpec& spec, ThreadPool& pool);
 
 }  // namespace khop

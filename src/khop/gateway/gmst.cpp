@@ -25,10 +25,9 @@ std::vector<WeightedEdge> head_graph(const Clustering& c,
 
 }  // namespace
 
-GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws,
-                         ThreadPool* pool) {
+GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws) {
   const std::size_t h = c.heads.size();
-  HeadSweep sweep = nc_sweep(g, c, 2 * c.k + 1, ws, pool);
+  HeadSweep sweep = nc_sweep(g, c, 2 * c.k + 1, ws);
   std::vector<WeightedEdge> tree;
   try {
     tree = kruskal_mst(h, head_graph(c, sweep.links));
@@ -38,7 +37,7 @@ GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws,
     // the complete virtual graph instead. Kruskal's order is a strict total
     // order on head pairs, and every omitted edge sorts after the spanning
     // bounded set, so on spanning inputs both graphs give the same MST.
-    sweep = nc_sweep(g, c, kUnreachable, ws, pool);
+    sweep = nc_sweep(g, c, kUnreachable, ws);
     tree = kruskal_mst(h, head_graph(c, sweep.links));
   }
 

@@ -25,7 +25,6 @@
 namespace khop {
 
 struct Workspace;
-class ThreadPool;
 
 struct GmstResult {
   /// MST edges over head ids (weights are hop distances).
@@ -36,9 +35,8 @@ struct GmstResult {
   std::vector<NodeId> gateways;
 };
 
-/// Computes the G-MST backbone for \p c over \p g; the head sweeps run
-/// serially on \p ws, or across \p pool (bit-identical output).
-GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws,
-                         ThreadPool* pool = nullptr);
+/// Computes the G-MST backbone for \p c over \p g; the head sweeps run on
+/// \p ws.
+GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws);
 
 }  // namespace khop

@@ -1,6 +1,7 @@
 #include "khop/gateway/head_sweep.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "khop/common/assert.hpp"
@@ -53,33 +54,33 @@ template void sweep_head(const DynamicGraph&, NodeId, Hops, const Clustering*,
                          std::span<const NodeId>, BfsScratch&, HeadSlice&);
 
 HeadSweep nc_sweep(const Graph& g, const Clustering& c, Hops horizon,
-                   Workspace& ws, ThreadPool* pool) {
+                   Workspace& ws) {
   KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
-  std::vector<HeadSlice> slots(c.heads.size());
-  for_each_index(c.heads.size(), ws, pool, [&](std::size_t i, Workspace& w) {
-    sweep_head(g, c.heads[i], horizon, &c, {}, w.bfs, slots[i]);
-  });
-
   // Per-head neighbor-head counts measure the density of the head overlay
   // the gateway stage prunes; observational only.
-  if (obs::enabled()) {
-    obs::Histogram& h =
-        obs::Registry::global().histogram("backbone.head_neighbors");
-    for (const HeadSlice& s : slots) h.record(s.selected.size());
-  }
-  // Head-index-ordered merge. Heads ascend in id, so link order is
-  // source-major ascending — the order VirtualLinkMap::build_bounded gives.
+  obs::Histogram* neighbors =
+      obs::enabled()
+          ? &obs::Registry::global().histogram("backbone.head_neighbors")
+          : nullptr;
+  // Heads ascend in id and each head's links are appended in turn, so link
+  // order is source-major ascending — the order
+  // VirtualLinkMap::build_bounded gives.
   HeadSweep r;
   r.sel.rule = NeighborRule::kAllWithin2k1;
   r.sel.selected.resize(c.heads.size());
   std::vector<VirtualLink> links;
-  for (std::uint32_t i = 0; i < c.heads.size(); ++i) {
+  HeadSlice s;
+  for (std::size_t i = 0; i < c.heads.size(); ++i) {
     const NodeId u = c.heads[i];
-    for (NodeId v : slots[i].selected) {
+    s.selected.clear();
+    s.links.clear();
+    sweep_head(g, u, horizon, &c, {}, ws.bfs, s);
+    if (neighbors != nullptr) neighbors->record(s.selected.size());
+    for (NodeId v : s.selected) {
       r.sel.head_pairs.emplace_back(std::min(u, v), std::max(u, v));
     }
-    r.sel.selected[i] = std::move(slots[i].selected);
-    for (VirtualLink& l : slots[i].links) links.push_back(std::move(l));
+    r.sel.selected[i] = s.selected;
+    std::move(s.links.begin(), s.links.end(), std::back_inserter(links));
   }
   r.sel = finalize_selection(std::move(r.sel));
   r.links = VirtualLinkMap::from_links(std::move(links));

@@ -14,10 +14,9 @@
 /// hops, so one bounded BFS per head serves both questions: no all-heads
 /// probe and no unbounded per-source BFS.
 ///
-/// Determinism: sweeps are independent per head. The per-head loops run
-/// serially on the caller's workspace or across a pool (each worker on its
-/// tls_workspace()) and merge in head order, so the output is bit-identical
-/// for any thread count — and matches the reference two-pass pipeline
+/// Determinism: sweeps are independent per head. The per-head loops are
+/// plain loops on the caller's workspace that append each head's output in
+/// head order, so the result matches the reference two-pass pipeline
 /// (nbr/reference.hpp + gateway/reference.hpp) exactly.
 #pragma once
 
@@ -32,7 +31,6 @@
 namespace khop {
 
 struct Workspace;
-class ThreadPool;
 
 /// One head's sweep output.
 struct HeadSlice {
@@ -53,7 +51,9 @@ struct HeadSlice {
 /// sweep, so given partners all below u need no BFS at all). A partner
 /// beyond the horizon reruns the sweep unbounded — both runs agree inside
 /// the horizon, so the paths do not depend on it — and one unreachable even
-/// then throws NotConnected.
+/// then throws NotConnected. Links are appended to out.links after an exact
+/// reserve, so a caller that appends many sweeps to one slice reserves
+/// their total first (each sweep would otherwise copy all earlier links).
 template <typename GraphT>
 void sweep_head(const GraphT& g, NodeId u, Hops horizon,
                 const Clustering* discover, std::span<const NodeId> partners,
@@ -67,8 +67,8 @@ struct HeadSweep {
 
 /// Sweeps every head of \p c to \p horizon: 2k+1 is the NC rule, and
 /// kUnreachable joins every pair of heads in a component (G-MST's
-/// complete-graph fallback). Serial on \p ws, or across \p pool.
+/// complete-graph fallback). Runs on \p ws.
 HeadSweep nc_sweep(const Graph& g, const Clustering& c, Hops horizon,
-                   Workspace& ws, ThreadPool* pool = nullptr);
+                   Workspace& ws);
 
 }  // namespace khop

@@ -1,14 +1,14 @@
 /// \file reference.hpp
 /// Pre-PR4 gateway-layer implementations, preserved verbatim as independent
 /// oracles. The production paths now bound every per-source BFS to the
-/// paper's 2k+1 structural horizon, fuse NC head discovery with link
-/// extraction (head_sweep.hpp), and optionally fan sweeps across a
-/// ThreadPool; these reference versions keep the original structure — the
-/// std::map-grouped build with one UNBOUNDED BFS per source, and the G-MST
-/// complete virtual graph built from one unbounded allocating BFS per head,
-/// and the std::set/std::map LMSTGA combine. They exist for the bit-exact
-/// equivalence suite and as the baseline the perf-regression harness
-/// measures speedups against. Not for production call sites.
+/// paper's 2k+1 structural horizon and fuse NC head discovery with link
+/// extraction (head_sweep.hpp); these reference versions keep the original
+/// structure — the std::map-grouped build with one UNBOUNDED BFS per
+/// source, and the G-MST complete virtual graph built from one unbounded
+/// allocating BFS per head, and the std::set/std::map LMSTGA combine. They
+/// exist for the bit-exact equivalence suite and as the baseline the
+/// perf-regression harness measures speedups against. Not for production
+/// call sites.
 #pragma once
 
 #include <utility>

@@ -32,7 +32,7 @@ VirtualLinkMap VirtualLinkMap::from_links(std::vector<VirtualLink> links) {
 
 VirtualLinkMap VirtualLinkMap::build_bounded(
     const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    Hops horizon, Workspace& ws, ThreadPool* pool) {
+    Hops horizon, Workspace& ws) {
   // Normalized to (min,max), sorted and unique: source-major with ascending
   // targets, so each run of one source is that head's partner list.
   std::vector<std::pair<NodeId, NodeId>> np;
@@ -43,31 +43,23 @@ VirtualLinkMap VirtualLinkMap::build_bounded(
   }
   std::sort(np.begin(), np.end());
   np.erase(std::unique(np.begin(), np.end()), np.end());
-  // Source i owns targets [first[i], first[i + 1]).
   std::vector<NodeId> targets;
-  std::vector<std::size_t> first;
   targets.reserve(np.size());
-  for (std::size_t i = 0; i < np.size(); ++i) {
-    if (i == 0 || np[i].first != np[i - 1].first) first.push_back(i);
-    targets.push_back(np[i].second);
-  }
-  first.push_back(np.size());
-  std::vector<HeadSlice> slots(first.size() - 1);
-  const std::span<const NodeId> all_targets(targets);
-  for_each_index(slots.size(), ws, pool, [&](std::size_t i, Workspace& w) {
-    sweep_head(g, np[first[i]].first, horizon, nullptr,
-               all_targets.subspan(first[i], first[i + 1] - first[i]), w.bfs,
-               slots[i]);
-  });
+  for (const auto& p : np) targets.push_back(p.second);
 
-  std::vector<VirtualLink> links;
-  links.reserve(np.size());
+  // Every sweep appends its links to one slice, in ascending source order.
+  HeadSlice s;
+  s.links.reserve(np.size());
   std::size_t fallbacks = 0;
-  for (HeadSlice& s : slots) {
-    for (VirtualLink& l : s.links) links.push_back(std::move(l));
+  for (std::size_t first = 0, last = 0; first < np.size(); first = last) {
+    while (last < np.size() && np[last].first == np[first].first) ++last;
+    s.fallback = false;
+    sweep_head(g, np[first].first, horizon, nullptr,
+               std::span<const NodeId>(targets).subspan(first, last - first),
+               ws.bfs, s);
     fallbacks += s.fallback ? 1 : 0;
   }
-  VirtualLinkMap m = from_links(std::move(links));
+  VirtualLinkMap m = from_links(std::move(s.links));
   m.bounded_fallbacks_ = fallbacks;
   return m;
 }

@@ -19,7 +19,6 @@ namespace khop {
 
 struct Clustering;
 struct Workspace;
-class ThreadPool;
 
 struct VirtualLink {
   NodeId u = kInvalidNode;  ///< smaller head id
@@ -37,8 +36,7 @@ class VirtualLinkMap {
       const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
   /// One head sweep (gateway/head_sweep.hpp) per distinct smaller endpoint,
-  /// bounded at \p horizon; serial on \p ws, or across \p pool merged in
-  /// ascending source order (bit-identical for any thread count). The
+  /// bounded at \p horizon, in ascending source order on \p ws. The
   /// paper's structure puts every selected pair within 2k+1 hops, so
   /// backbone construction passes that bound; a pair whose endpoints are
   /// farther apart (invariant-violating input) reruns its source unbounded,
@@ -46,7 +44,7 @@ class VirtualLinkMap {
   /// disconnected endpoints — equals the unbounded build on EVERY input.
   static VirtualLinkMap build_bounded(
       const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-      Hops horizon, Workspace& ws, ThreadPool* pool = nullptr);
+      Hops horizon, Workspace& ws);
 
   /// Adopts already-extracted links. \pre each link has u < v; no duplicate
   /// (u,v) keys. Used by the fused NC sweep (gateway/head_sweep.hpp), which

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "khop/common/assert.hpp"
-#include "khop/runtime/thread_pool.hpp"
 
 namespace khop {
 
@@ -15,18 +14,27 @@ SpatialGrid::SpatialGrid(const std::vector<Point2>& pts, double radius) {
 void SpatialGrid::rebuild(const std::vector<Point2>& pts, double radius) {
   KHOP_REQUIRE(!pts.empty(), "empty point set");
   KHOP_REQUIRE(radius > 0.0, "radius must be positive");
-  pts_ = &pts;
-  radius_ = radius;
-
-  double max_x = pts[0].x, max_y = pts[0].y;
-  min_x_ = pts[0].x;
-  min_y_ = pts[0].y;
+  double min_x = pts[0].x, min_y = pts[0].y;
+  double max_x = min_x, max_y = min_y;
   for (const auto& p : pts) {
-    min_x_ = std::min(min_x_, p.x);
-    min_y_ = std::min(min_y_, p.y);
+    KHOP_REQUIRE(std::isfinite(p.x) && std::isfinite(p.y),
+                 "point coordinates must be finite");
+    min_x = std::min(min_x, p.x);
+    min_y = std::min(min_y, p.y);
     max_x = std::max(max_x, p.x);
     max_y = std::max(max_y, p.y);
   }
+  // Finite points can still span more than a double holds (1e308 - -1e308),
+  // which would make every cell index below a NaN-to-integer cast.
+  const double span_x = max_x - min_x;
+  const double span_y = max_y - min_y;
+  KHOP_REQUIRE(std::isfinite(span_x) && std::isfinite(span_y),
+               "point set extent overflows a double");
+  pts_ = &pts;
+  radius_ = radius;
+  min_x_ = min_x;
+  min_y_ = min_y;
+
   cell_ = radius;
   // Cap the cell count at O(n): a radius tiny relative to the span would
   // otherwise allocate (span/radius)^2 cells. Enlarging cells preserves
@@ -34,8 +42,6 @@ void SpatialGrid::rebuild(const std::vector<Point2>& pts, double radius) {
   // per-candidate distance test is unchanged - it only densifies cells.
   // Doubling against the actual product handles anisotropic (e.g. near-
   // collinear) spreads where one dimension floors at a single row.
-  const double span_x = max_x - min_x_;
-  const double span_y = max_y - min_y_;
   const double max_cells = 4.0 * static_cast<double>(pts.size()) + 1024.0;
   while ((span_x / cell_ + 1.0) * (span_y / cell_ + 1.0) > max_cells) {
     cell_ *= 2.0;
@@ -124,58 +130,30 @@ Graph build_unit_disk_graph(const std::vector<Point2>& pts, double radius) {
 }
 
 Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
-                                     double radius, SpatialGrid& grid,
-                                     ThreadPool* pool) {
+                                     double radius, SpatialGrid& grid) {
   const std::size_t n = pts.size();
   grid.rebuild(pts, radius);
 
-  // Counting pass: each node's CSR row length is its disk neighborhood
-  // size. The distance predicate is exactly symmetric in IEEE arithmetic
-  // (dx*dx + dy*dy is invariant under operand negation), so per-node rows
-  // reproduce the symmetric adjacency from_edges would build.
+  // One pass, u ascending: u's sorted disk neighborhood is its CSR row. The
+  // distance predicate is exactly symmetric in IEEE arithmetic (dx*dx +
+  // dy*dy is invariant under operand negation), so per-node rows reproduce
+  // the symmetric adjacency from_edges would build.
   std::vector<std::size_t> offsets(n + 1, 0);
-  const auto count_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      offsets[u + 1] = grid.count_within_radius(static_cast<NodeId>(u));
-    }
-  };
-
-  // Tile partition: contiguous id blocks. Tiles write disjoint slots of
-  // offsets/adjacency, so the "merge" is simply the ascending-id layout of
-  // CSR itself - deterministic for any thread count.
-  const std::size_t num_tiles =
-      pool == nullptr ? 1
-                      : std::min<std::size_t>(pool->num_threads() * 4,
-                                              std::max<std::size_t>(n, 1));
-  const std::size_t tile = (n + num_tiles - 1) / num_tiles;
-  if (pool == nullptr || num_tiles <= 1) {
-    count_range(0, n);
-  } else {
-    parallel_for_throwing(*pool, num_tiles, [&](std::size_t t) {
-      count_range(t * tile, std::min(n, (t + 1) * tile));
-    });
+  std::vector<NodeId> adjacency;
+  std::vector<NodeId> row;
+  for (std::size_t u = 0; u < n; ++u) {
+    grid.within_radius_into(static_cast<NodeId>(u), row);
+    adjacency.insert(adjacency.end(), row.begin(), row.end());
+    offsets[u + 1] = adjacency.size();
   }
-  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
-
-  std::vector<NodeId> adjacency(offsets[n]);
-  const auto fill_range = [&](std::size_t begin, std::size_t end) {
-    std::vector<NodeId> row;
-    for (std::size_t u = begin; u < end; ++u) {
-      grid.within_radius_into(static_cast<NodeId>(u), row);
-      KHOP_ASSERT(row.size() == offsets[u + 1] - offsets[u],
-                  "streamed build: counting/placement mismatch");
-      std::copy(row.begin(), row.end(),
-                adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[u]));
-    }
-  };
-  if (pool == nullptr || num_tiles <= 1) {
-    fill_range(0, n);
-  } else {
-    parallel_for_throwing(*pool, num_tiles, [&](std::size_t t) {
-      fill_range(t * tile, std::min(n, (t + 1) * tile));
-    });
-  }
+  adjacency.shrink_to_fit();  // the graph outlives the build: keep m entries
   return Graph::from_csr(std::move(offsets), std::move(adjacency));
+}
+
+Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
+                                     double radius, SpatialGrid& grid,
+                                     ThreadPool*) {
+  return build_unit_disk_graph_streamed(pts, radius, grid);
 }
 
 namespace reference {

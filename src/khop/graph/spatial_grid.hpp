@@ -20,8 +20,6 @@
 
 namespace khop {
 
-class ThreadPool;
-
 /// Uniform grid over the bounding box of a point set, cell size >= the query
 /// radius, so a range query touches at most the 3x3 surrounding cells.
 ///
@@ -32,12 +30,13 @@ class SpatialGrid {
   /// Empty grid; call rebuild() before querying.
   SpatialGrid() = default;
 
-  /// \pre radius > 0, pts non-empty
+  /// \pre as for rebuild()
   SpatialGrid(const std::vector<Point2>& pts, double radius);
 
   /// Re-binds the grid to \p pts / \p radius, reusing the internal arrays.
   /// Equivalent to constructing a fresh grid (bit-identical query results).
-  /// \pre radius > 0, pts non-empty
+  /// \pre radius > 0, pts non-empty, every coordinate finite and the
+  /// bounding box's extent finite (InvalidArgument otherwise)
   void rebuild(const std::vector<Point2>& pts, double radius);
 
   /// Ids of all points within \p radius of pts[u], excluding u itself,
@@ -50,7 +49,7 @@ class SpatialGrid {
 
   /// Number of points within \p radius of pts[u], excluding u itself.
   /// Allocation-free (no list materialization); used by the degree
-  /// calibration's bisection probes and the streamed build's counting pass.
+  /// calibration's bisection probes.
   std::size_t count_within_radius(NodeId u) const;
 
   /// Number of grid cells (cols x rows) after the cell-count cap.
@@ -85,19 +84,25 @@ class SpatialGrid {
 
 /// Builds the unit-disk graph: edge {u,v} iff dist(u,v) <= radius.
 /// O(n * average-neighborhood) via spatial hashing. Streams each node's
-/// neighborhood straight into CSR (counting pass + placement pass) without
-/// materializing an edge-pair vector; bit-identical to
-/// reference::build_unit_disk_graph.
+/// neighborhood straight into CSR in one pass without materializing an
+/// edge-pair vector; bit-identical to reference::build_unit_disk_graph.
 Graph build_unit_disk_graph(const std::vector<Point2>& pts, double radius);
 
 /// The streamed build against a caller-owned grid: rebuild()s \p grid for
-/// (pts, radius) and emits the CSR rows per node. With \p pool non-null the
-/// counting and placement passes run tile-parallel over contiguous id
-/// blocks (rows are written to disjoint CSR slots, so the merge is the
-/// deterministic ascending-id order of the offsets themselves).
+/// (pts, radius), then appends each node's row, u ascending, to one growing
+/// adjacency array — O(log m) allocations, none per node.
+Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
+                                     double radius, SpatialGrid& grid);
+
+class ThreadPool;
+
+/// Deprecated forward to the serial build above; the pool is ignored. It
+/// exists only for perfbench/, until perfbench/ moves its calls to the
+/// three-argument form.
+[[deprecated("generation is serial; use the three-argument form")]]
 Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
                                      double radius, SpatialGrid& grid,
-                                     ThreadPool* pool = nullptr);
+                                     ThreadPool* pool);
 
 namespace reference {
 

@@ -1,9 +1,10 @@
-// At-scale bit-exactness for the PR 4 backbone overhaul (`slow` ctest
-// label): all five paper pipelines, fused serial AND parallel across thread
-// counts {1, 2, hardware}, against the preserved reference pipeline on a
-// four-digit-node topology. This is the acceptance gate for the fused
-// bounded-sweep construction. LMSTGA is also swept against its set/map
-// oracle over many small networks.
+// At-scale bit-exactness for the backbone construction (`slow` ctest
+// label): all five paper pipelines, built with the fused bounded sweeps on
+// a reused workspace, on a fresh one and through the allocating overload,
+// against the preserved reference pipeline on a four-digit-node topology.
+// This is the acceptance gate for the fused bounded-sweep construction.
+// LMSTGA is also swept against its set/map oracle over many small
+// networks.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,7 +12,6 @@
 #include "khop/gateway/backbone.hpp"
 #include "khop/gateway/reference.hpp"
 #include "khop/net/generator.hpp"
-#include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
@@ -34,17 +34,17 @@ void expect_backbone_eq(const Backbone& got, const Backbone& want,
 
 TEST(BackboneEquivalenceSlow, AllPipelinesAllThreadCountsAtScale) {
   const Graph g = random_topology(1500, 7.0, 98);
+  // Formerly also across thread counts; phase 2 now has one serial body,
+  // so the variants are the workspace it runs on.
   Workspace ws;
-  // 0 selects hardware_concurrency (see ThreadPool).
   for (Hops k = 2; k <= 3; ++k) {
     const Clustering c = khop_clustering(g, k);
     for (const Pipeline p : kAllPipelines) {
       const Backbone want = reference::build_backbone(g, c, p);
-      expect_backbone_eq(build_backbone(g, c, p, ws), want, "serial");
-      for (const std::size_t threads : {1u, 2u, 0u}) {
-        ThreadPool pool(threads);
-        expect_backbone_eq(build_backbone(g, c, p, pool), want, "parallel");
-      }
+      expect_backbone_eq(build_backbone(g, c, p, ws), want, "reused");
+      Workspace fresh;
+      expect_backbone_eq(build_backbone(g, c, p, fresh), want, "fresh");
+      expect_backbone_eq(build_backbone(g, c, p), want, "tls_workspace");
     }
   }
 }

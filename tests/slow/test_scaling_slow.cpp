@@ -1,9 +1,11 @@
-// Larger-topology equivalence checks and bench-harness end-to-end smoke.
+// Larger-topology equivalence checks, the generator's allocation count and
+// bench-harness end-to-end smoke.
 // These carry the `slow` ctest label: CI's main job excludes them (-LE slow)
 // and the bench job runs them; locally a plain `ctest` still includes them
 // (they are sized to stay in the seconds range).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -12,6 +14,7 @@
 
 #include "harness/harness.hpp"
 #include "khop/cluster/reference.hpp"
+#include "khop/graph/spatial_grid.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/workspace.hpp"
 
@@ -89,6 +92,34 @@ TEST(BenchHarnessSlow, RejectsNondeterministicKernels) {
   EXPECT_THROW(h.time_kernel("bogus", "legacy", 1, 1,
                              [&] { return ++counter; }),
                InvariantViolation);
+}
+
+TEST(UnitDiskSlow, StreamedBuildMakesLogarithmicallyManyAllocations) {
+  // 10^5 uniform points at unit density, expected degree ~8. On a reused
+  // grid the one-pass build allocates only its offsets, its geometrically
+  // grown adjacency and row buffer, and the Graph: O(log m) in all. A
+  // per-node allocation anywhere would add ~n. The reference builder makes
+  // one growing vector per node, which shows the counter sees them.
+  const std::size_t n = 100000;
+  Rng rng(131);
+  const double side = std::sqrt(static_cast<double>(n));
+  std::vector<Point2> pts(n);
+  for (Point2& p : pts) p = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
+  const double radius = std::sqrt(9.0 / 3.14159265358979323846);
+
+  SpatialGrid grid;
+  build_unit_disk_graph_streamed(pts, radius, grid);  // sizes the grid
+  std::uint64_t before = bench::alloc_count();
+  const Graph got = build_unit_disk_graph_streamed(pts, radius, grid);
+  const std::uint64_t streamed = bench::alloc_count() - before;
+
+  before = bench::alloc_count();
+  const Graph want = reference::build_unit_disk_graph(pts, radius);
+  const std::uint64_t ref = bench::alloc_count() - before;
+
+  EXPECT_LE(streamed, 64u);
+  EXPECT_GE(ref, n);
+  EXPECT_EQ(got.edge_list(), want.edge_list());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Bit-exact equivalence of the PR 4 backbone overhaul: the fused bounded
-// sweeps (serial and parallel) must reproduce the preserved reference
-// pipeline — reference neighbor rules + map-grouped unbounded link build +
-// complete-virtual-graph G-MST — exactly, on every pipeline. The larger-n
-// and hardware-thread-count sweep lives in tests/slow/.
+// Bit-exact equivalence of the backbone construction: the fused bounded
+// sweeps must reproduce the preserved reference pipeline — reference
+// neighbor rules + map-grouped unbounded link build + complete-virtual-graph
+// G-MST — exactly, on every pipeline. The larger-n sweep lives in
+// tests/slow/.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,7 +12,6 @@
 #include "khop/gateway/reference.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/nbr/reference.hpp"
-#include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
@@ -32,6 +31,17 @@ void expect_backbone_eq(const Backbone& got, const Backbone& want) {
   EXPECT_EQ(got.virtual_links, want.virtual_links);
 }
 
+void expect_gmst_eq(const GmstResult& got, const GmstResult& want) {
+  ASSERT_EQ(got.tree.size(), want.tree.size());
+  for (std::size_t i = 0; i < got.tree.size(); ++i) {
+    EXPECT_EQ(got.tree[i].u, want.tree[i].u);
+    EXPECT_EQ(got.tree[i].v, want.tree[i].v);
+    EXPECT_EQ(got.tree[i].weight, want.tree[i].weight);
+  }
+  EXPECT_EQ(got.kept_links, want.kept_links);
+  EXPECT_EQ(got.gateways, want.gateways);
+}
+
 TEST(BackboneEquivalence, AllPipelinesMatchReferenceSerial) {
   Workspace ws;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -47,12 +57,13 @@ TEST(BackboneEquivalence, AllPipelinesMatchReferenceSerial) {
 }
 
 TEST(BackboneEquivalence, AllPipelinesMatchReferenceParallel) {
-  ThreadPool pool(2);
+  // Formerly the pooled build; phase 2 now has one serial body, reached
+  // here through the allocating overload (the thread's tls_workspace()).
   const Graph g = random_topology(120, 6.0, 410);
   for (Hops k = 1; k <= 2; ++k) {
     const Clustering c = khop_clustering(g, k);
     for (const Pipeline p : kAllPipelines) {
-      expect_backbone_eq(build_backbone(g, c, p, pool),
+      expect_backbone_eq(build_backbone(g, c, p),
                          reference::build_backbone(g, c, p));
     }
   }
@@ -67,10 +78,9 @@ TEST(BackboneEquivalence, WuLouSpecMatchesReference) {
        {GatewayAlgorithm::kMesh, GatewayAlgorithm::kLmst}) {
     spec.gateway = ga;
     Workspace ws;
-    ThreadPool pool(2);
     expect_backbone_eq(build_backbone(g, c, spec, ws),
                        reference::build_backbone(g, c, spec));
-    expect_backbone_eq(build_backbone(g, c, spec, pool),
+    expect_backbone_eq(build_backbone(g, c, spec),
                        reference::build_backbone(g, c, spec));
   }
 }
@@ -119,24 +129,13 @@ TEST(BackboneEquivalence, LmstMatchesReferenceAllRulesAndKeeps) {
 }
 
 TEST(BackboneEquivalence, GmstMatchesReferenceIncludingTree) {
+  // One workspace reused across every network and k.
   Workspace ws;
-  ThreadPool pool(2);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Graph g = random_topology(90 + 15 * seed, 6.0, 440 + seed);
     for (Hops k = 1; k <= 2; ++k) {
       const Clustering c = khop_clustering(g, k);
-      const GmstResult want = reference::gmst_gateways(g, c);
-      for (const GmstResult& got :
-           {gmst_gateways(g, c, ws), gmst_gateways(g, c, ws, &pool)}) {
-        ASSERT_EQ(got.tree.size(), want.tree.size());
-        for (std::size_t i = 0; i < got.tree.size(); ++i) {
-          EXPECT_EQ(got.tree[i].u, want.tree[i].u);
-          EXPECT_EQ(got.tree[i].v, want.tree[i].v);
-          EXPECT_EQ(got.tree[i].weight, want.tree[i].weight);
-        }
-        EXPECT_EQ(got.kept_links, want.kept_links);
-        EXPECT_EQ(got.gateways, want.gateways);
-      }
+      expect_gmst_eq(gmst_gateways(g, c, ws), reference::gmst_gateways(g, c));
     }
   }
 }
@@ -145,7 +144,7 @@ TEST(BackboneEquivalence, GmstCompleteGraphFallbackMatchesReference) {
   // Chain 0-1-...-11 with k = 1 and heads {0, 2, 11}: nodes 3..10 sit
   // beyond k of head 11, so the 2k+1 = 3 bounded head graph holds only
   // (0, 2) and does not span. G-MST must fall back to the complete graph
-  // (tree {0-2, 2-11}, gateways 1 and 3..10), serially and across a pool.
+  // (tree {0-2, 2-11}, gateways 1 and 3..10).
   std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId v = 0; v + 1 < 12; ++v) edges.emplace_back(v, v + 1);
   const Graph g = Graph::from_edges(12, edges);
@@ -163,46 +162,31 @@ TEST(BackboneEquivalence, GmstCompleteGraphFallbackMatchesReference) {
   ASSERT_EQ(want.kept_links,
             (std::vector<std::pair<NodeId, NodeId>>{{0, 2}, {2, 11}}));
   Workspace ws;
-  ThreadPool pool(2);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    const GmstResult got = gmst_gateways(g, c, ws, p);
-    ASSERT_EQ(got.tree.size(), want.tree.size());
-    for (std::size_t i = 0; i < got.tree.size(); ++i) {
-      EXPECT_EQ(got.tree[i].u, want.tree[i].u);
-      EXPECT_EQ(got.tree[i].v, want.tree[i].v);
-      EXPECT_EQ(got.tree[i].weight, want.tree[i].weight);
-    }
-    EXPECT_EQ(got.kept_links, want.kept_links);
-    EXPECT_EQ(got.gateways, want.gateways);
-  }
+  expect_gmst_eq(gmst_gateways(g, c, ws), want);
   const Backbone ref = reference::build_backbone(g, c, Pipeline::kGmst);
   expect_backbone_eq(build_backbone(g, c, Pipeline::kGmst, ws), ref);
-  expect_backbone_eq(build_backbone(g, c, Pipeline::kGmst, pool), ref);
+  expect_backbone_eq(build_backbone(g, c, Pipeline::kGmst), ref);
 }
 
 TEST(BackboneEquivalence, FusedSweepMatchesTwoPassSelection) {
   // The fused sweep's NeighborSelection must equal select_neighbors(NC) and
   // its links must equal the stand-alone build over the selection's pairs.
-  // Serially and across a pool.
   Workspace ws;
-  ThreadPool pool(2);
   const Graph g = random_topology(130, 6.0, 450);
   for (Hops k = 1; k <= 3; ++k) {
     const Clustering c = khop_clustering(g, k);
     const NeighborSelection sel =
         select_neighbors(g, c, NeighborRule::kAllWithin2k1);
     const VirtualLinkMap links = VirtualLinkMap::build(g, sel.head_pairs);
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const HeadSweep sweep = nc_sweep(g, c, 2 * k + 1, ws, p);
-      EXPECT_EQ(sweep.sel.selected, sel.selected);
-      EXPECT_EQ(sweep.sel.head_pairs, sel.head_pairs);
-      ASSERT_EQ(sweep.links.all().size(), links.all().size());
-      for (std::size_t i = 0; i < links.all().size(); ++i) {
-        EXPECT_EQ(sweep.links.all()[i].u, links.all()[i].u);
-        EXPECT_EQ(sweep.links.all()[i].v, links.all()[i].v);
-        EXPECT_EQ(sweep.links.all()[i].hops, links.all()[i].hops);
-        EXPECT_EQ(sweep.links.all()[i].path, links.all()[i].path);
-      }
+    const HeadSweep sweep = nc_sweep(g, c, 2 * k + 1, ws);
+    EXPECT_EQ(sweep.sel.selected, sel.selected);
+    EXPECT_EQ(sweep.sel.head_pairs, sel.head_pairs);
+    ASSERT_EQ(sweep.links.all().size(), links.all().size());
+    for (std::size_t i = 0; i < links.all().size(); ++i) {
+      EXPECT_EQ(sweep.links.all()[i].u, links.all()[i].u);
+      EXPECT_EQ(sweep.links.all()[i].v, links.all()[i].v);
+      EXPECT_EQ(sweep.links.all()[i].hops, links.all()[i].hops);
+      EXPECT_EQ(sweep.links.all()[i].path, links.all()[i].path);
     }
   }
 }
@@ -213,11 +197,10 @@ TEST(BackboneEquivalence, SingleHeadClusteringBuildsEmptyBackbone) {
   const Clustering c = khop_clustering(g, 2);
   ASSERT_EQ(c.heads.size(), 1u);
   Workspace ws;
-  ThreadPool pool(2);
   for (const Pipeline p : kAllPipelines) {
     expect_backbone_eq(build_backbone(g, c, p, ws),
                        reference::build_backbone(g, c, p));
-    expect_backbone_eq(build_backbone(g, c, p, pool),
+    expect_backbone_eq(build_backbone(g, c, p),
                        reference::build_backbone(g, c, p));
   }
 }

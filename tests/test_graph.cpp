@@ -1,6 +1,7 @@
 // Unit tests for the CSR graph and unit-disk construction.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -10,7 +11,6 @@
 #include "khop/graph/metrics.hpp"
 #include "khop/graph/spatial_grid.hpp"
 #include "khop/graph/subgraph.hpp"
-#include "khop/runtime/thread_pool.hpp"
 
 namespace khop {
 namespace {
@@ -147,6 +147,27 @@ TEST(SpatialGrid, CellCountCappedForTinyRadius) {
   EXPECT_EQ(lg.num_edges(), 0u);
 }
 
+TEST(SpatialGrid, RejectsNonFinitePoints) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SpatialGrid grid;
+  for (const std::vector<Point2>& pts :
+       {std::vector<Point2>{{0.0, 0.0}, {nan, 1.0}},
+        std::vector<Point2>{{0.0, inf}, {1.0, 1.0}},
+        std::vector<Point2>{{-inf, 0.0}},
+        // Finite points whose extent overflows to inf.
+        std::vector<Point2>{{1e308, 0.0}, {-1e308, 0.0}, {0.0, 0.0}},
+        std::vector<Point2>{{0.0, -1.5e308}, {0.0, 1.5e308}}}) {
+    EXPECT_THROW(grid.rebuild(pts, 1.0), InvalidArgument);
+    EXPECT_THROW(SpatialGrid(pts, 1.0), InvalidArgument);
+    EXPECT_THROW(build_unit_disk_graph(pts, 1.0), InvalidArgument);
+  }
+  // The grid stays usable after a rejected rebuild.
+  const std::vector<Point2> ok{{0.0, 0.0}, {0.5, 0.0}};
+  grid.rebuild(ok, 1.0);
+  EXPECT_EQ(grid.within_radius(0), std::vector<NodeId>{1});
+}
+
 TEST(SpatialGrid, CountMatchesListLength) {
   Rng rng(79);
   std::vector<Point2> pts;
@@ -223,16 +244,12 @@ TEST(UnitDisk, StreamedBuildMatchesReferenceEdgeListBuild) {
     sets.back().push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 1e-6)});
   }
   SpatialGrid grid;  // reused across sets: rebuild() must re-bind cleanly
-  ThreadPool pool(2);
   for (const auto& pts : sets) {
     for (const double radius : {0.5, 8.0, 200.0}) {
       const Graph want = reference::build_unit_disk_graph(pts, radius);
-      const Graph serial = build_unit_disk_graph_streamed(pts, radius, grid);
-      EXPECT_EQ(serial.edge_list(), want.edge_list());
-      EXPECT_EQ(serial.num_nodes(), want.num_nodes());
-      const Graph parallel =
-          build_unit_disk_graph_streamed(pts, radius, grid, &pool);
-      EXPECT_EQ(parallel.edge_list(), want.edge_list());
+      const Graph streamed = build_unit_disk_graph_streamed(pts, radius, grid);
+      EXPECT_EQ(streamed.edge_list(), want.edge_list());
+      EXPECT_EQ(streamed.num_nodes(), want.num_nodes());
       const Graph wrapper = build_unit_disk_graph(pts, radius);
       EXPECT_EQ(wrapper.edge_list(), want.edge_list());
     }

@@ -233,5 +233,12 @@ TEST(IoNetwork, RejectsMalformedInput) {
   EXPECT_THROW(read_network(zero_radius), InvalidArgument);
 }
 
+TEST(IoNetwork, RejectsCoordinatesWhoseSpanOverflows) {
+  // Each coordinate is a finite double, but their spread (2e308) is not:
+  // the reader must report it as bad input, not fail inside the grid.
+  std::istringstream is("3 1 100\n1e308 0\n-1e308 0\n0 0\n");
+  EXPECT_THROW(read_network(is), InvalidArgument);
+}
+
 }  // namespace
 }  // namespace khop

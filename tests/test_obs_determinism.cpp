@@ -45,9 +45,10 @@ std::vector<std::size_t> thread_counts() {
   return counts;
 }
 
-/// Digest of one full pipeline + engine execution at a given thread count
-/// (0 = serial workspace path). Integer-valued terms, exact in double:
-/// equal digests mean bit-identical outputs.
+/// Digest of one full pipeline + engine execution; the engine runs on a
+/// pool of \p threads (0 = the serial run). Clustering and backbone have
+/// one serial body. Integer-valued terms, exact in double: equal digests
+/// mean bit-identical outputs.
 double pipeline_digest(const Graph& g, Hops k, std::size_t threads) {
   double sum = 0.0;
 
@@ -64,9 +65,7 @@ double pipeline_digest(const Graph& g, Hops k, std::size_t threads) {
     sum += c.head_of[v] + 7.0 * c.dist_to_head[v];
   }
 
-  const Backbone b = pool != nullptr
-                         ? build_backbone(g, c, Pipeline::kNcLmst, *pool)
-                         : build_backbone(g, c, Pipeline::kNcLmst, ws);
+  const Backbone b = build_backbone(g, c, Pipeline::kNcLmst, ws);
   for (NodeId gw : b.gateways) sum += 13.0 * gw;
   for (const auto& [u, v] : b.virtual_links) sum += 17.0 * u + 19.0 * v;
 

@@ -1,7 +1,7 @@
 // Space-filling-curve relabeling properties: round-trip identity, BFS
 // distance equivariance, election equivariance under carried priorities,
 // and — the oracle contract — bit-exact reference equivalence of the full
-// pipeline run on the relabeled graph, serial and parallel.
+// pipeline run on the relabeled graph.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,7 +14,6 @@
 #include "khop/graph/bfs_reference.hpp"
 #include "khop/graph/relabel.hpp"
 #include "khop/net/generator.hpp"
-#include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
@@ -168,10 +167,9 @@ TEST(Relabel, ElectionIsEquivariantUnderCarriedPriorities) {
 TEST(Relabel, RelabeledRunsMatchReferenceAllPipelines) {
   // The acceptance contract: on the relabeled graph the optimized kernels
   // remain bit-exact against the preserved reference implementations, for
-  // every affiliation rule and every backbone pipeline, serial and parallel
-  // at thread counts {1, 2, hardware}.
+  // every affiliation rule and every backbone pipeline, on a reused
+  // workspace and through the allocating overload.
   Workspace ws;
-  ThreadPool pool_one(1), pool_two(2), pool_hw(0);
   const AdHocNetwork net = random_network(110, 6.0, 61);
   const Relabeling r = sfc_relabeling(net.positions);
   const Graph g2 = relabel(net.graph, r);
@@ -197,12 +195,10 @@ TEST(Relabel, RelabeledRunsMatchReferenceAllPipelines) {
     EXPECT_EQ(serial.heads, want.heads);
     EXPECT_EQ(serial.gateways, want.gateways);
     EXPECT_EQ(serial.virtual_links, want.virtual_links);
-    for (ThreadPool* pool : {&pool_one, &pool_two, &pool_hw}) {
-      const Backbone par = build_backbone(g2, c2, p, *pool);
-      EXPECT_EQ(par.heads, want.heads);
-      EXPECT_EQ(par.gateways, want.gateways);
-      EXPECT_EQ(par.virtual_links, want.virtual_links);
-    }
+    const Backbone tls = build_backbone(g2, c2, p);
+    EXPECT_EQ(tls.heads, want.heads);
+    EXPECT_EQ(tls.gateways, want.gateways);
+    EXPECT_EQ(tls.virtual_links, want.virtual_links);
   }
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for canonical virtual links (shortest gateway paths), including
-// the horizon-bounded and parallel builds introduced in PR 4.
+// the horizon-bounded build.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -10,7 +10,6 @@
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/graph/bfs.hpp"
 #include "khop/net/generator.hpp"
-#include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
@@ -109,11 +108,9 @@ TEST(VirtualLink, DuplicatePairsDeduplicated) {
 TEST(VirtualLink, EmptyPairsBuildEmptyMap) {
   const Graph g = Graph::from_edges(3, EdgeList{{0, 1}, {1, 2}});
   Workspace ws;
-  ThreadPool pool(2);
   for (const VirtualLinkMap& links :
        {VirtualLinkMap::build(g, {}),
-        VirtualLinkMap::build_bounded(g, {}, 2, ws),
-        VirtualLinkMap::build_bounded(g, {}, 2, ws, &pool)}) {
+        VirtualLinkMap::build_bounded(g, {}, 2, ws)}) {
     EXPECT_TRUE(links.all().empty());
     EXPECT_FALSE(links.contains(0, 1));
     EXPECT_EQ(links.bounded_fallbacks(), 0u);
@@ -123,13 +120,9 @@ TEST(VirtualLink, EmptyPairsBuildEmptyMap) {
 TEST(VirtualLink, BoundedDuplicatesAndReverseDeduplicated) {
   const Graph g = Graph::from_edges(3, EdgeList{{0, 1}, {1, 2}});
   Workspace ws;
-  ThreadPool pool(2);
-  const auto serial =
+  const auto links =
       VirtualLinkMap::build_bounded(g, {{0, 2}, {2, 0}, {0, 2}}, 2, ws);
-  const auto par =
-      VirtualLinkMap::build_bounded(g, {{0, 2}, {2, 0}, {0, 2}}, 2, ws, &pool);
-  EXPECT_EQ(serial.all().size(), 1u);
-  EXPECT_EQ(par.all().size(), 1u);
+  EXPECT_EQ(links.all().size(), 1u);
 }
 
 TEST(VirtualLink, BoundedExactlyAtHorizonNeedsNoFallback) {
@@ -160,11 +153,11 @@ TEST(VirtualLink, BoundedBeyondHorizonFallsBackUnboundedExactly) {
 TEST(VirtualLink, BoundedDisconnectedEndpointsStillThrow) {
   const Graph g = Graph::from_edges(4, EdgeList{{0, 1}, {2, 3}});
   Workspace ws;
-  ThreadPool pool(2);
   EXPECT_THROW(VirtualLinkMap::build_bounded(g, {{0, 3}}, 2, ws),
                NotConnected);
-  EXPECT_THROW(VirtualLinkMap::build_bounded(g, {{0, 3}}, 2, ws, &pool),
-               NotConnected);
+  // The workspace is reusable after the throw.
+  EXPECT_EQ(VirtualLinkMap::build_bounded(g, {{0, 1}}, 2, ws).all().size(),
+            1u);
 }
 
 TEST(VirtualLink, BoundedAndParallelMatchUnboundedOnRandomNetworks) {
@@ -180,16 +173,14 @@ TEST(VirtualLink, BoundedAndParallelMatchUnboundedOnRandomNetworks) {
   const auto want = reference::build_virtual_links(net.graph, pairs);
   Workspace ws;
   // Unbounded horizon, a generous bound, and a tight bound (with fallback)
-  // must all match the reference oracle; so must every thread count.
+  // must all match the reference oracle, on a reused workspace and on a
+  // fresh one. (The name predates the removal of the pooled build.)
   for (const Hops horizon : {kUnreachable, Hops{20}, Hops{2}}) {
     expect_links_eq(
         VirtualLinkMap::build_bounded(net.graph, pairs, horizon, ws), want);
-    for (const std::size_t threads : {1u, 2u, 0u}) {
-      ThreadPool pool(threads);
-      expect_links_eq(
-          VirtualLinkMap::build_bounded(net.graph, pairs, horizon, ws, &pool),
-          want);
-    }
+    Workspace fresh;
+    expect_links_eq(
+        VirtualLinkMap::build_bounded(net.graph, pairs, horizon, fresh), want);
   }
 }
 
